@@ -1,22 +1,21 @@
 package repro.bench
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 
 /** Reproduces **Figure 6 as a table**: rounds to convergence, Paral vs
-  * Asyn, on every dataset for each h — local engine on all datasets, Spark
-  * dataflow engine (sync vs 4-block Gauss–Seidel) on the smallest.
+  * Asyn, on every dataset for each h, on the local engine (the paper's
+  * asynchrony is shared-memory; the Spark engine has no counterpart).
   *
   * Paper shape to reproduce: Asyn converges in fewer rounds than Paral,
   * reducing the count by up to ~half.
   */
-class Table4AsyncItersBench extends SparkSpec {
+class Table4AsyncItersBench extends AnyFunSuite {
 
   test("Figure 6 (as table): rounds, Paral vs Asyn") {
     Harness.warmup()
     val rows = Harness.asyncRows(
       repro.graph.Datasets.all, BenchConfig.hs, BenchConfig.threads,
-      BenchConfig.budgetMs,
-      sparkFor = (ds, h) => ds.code == "YT" && h == BenchConfig.hs.min, spark = spark)
+      BenchConfig.budgetMs)
     println(Harness.formatTable(
       s"Figure 6 (as table): rounds to convergence, budget=${BenchConfig.budgetMs}ms",
       Harness.asyncHeader, rows))

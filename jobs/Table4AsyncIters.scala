@@ -4,8 +4,7 @@ import repro.bench.Harness
 import repro.graph.Datasets
 
 /** Reproduces the paper's Figure 6 as a table: rounds to convergence of
-  * Paral vs Asyn on all datasets, for both the local engine and the Spark
-  * dataflow engine (block-Gauss–Seidel async emulation) on the small ones.
+  * Paral vs Asyn on all datasets, on the local engine.
   *
   * Usage: ``spark-submit --class repro.jobs.Table4AsyncIters <jar> [h...]``
   * (default h = 2 3).
@@ -13,12 +12,10 @@ import repro.graph.Datasets
 object Table4AsyncIters {
   def main(args: Array[String]): Unit = {
     val hs = if (args.nonEmpty) args.map(_.toInt).toSeq else Seq(2, 3)
-    lazy val spark = JobSession.build("table4-async-iters")
     Harness.warmup()
     val rows = Harness.asyncRows(
       Datasets.all, hs, threads = Runtime.getRuntime.availableProcessors(),
-      budgetMs = JobSession.budgetMs,
-      sparkFor = (ds, h) => ds.code == "YT" && h == hs.min, spark = spark)
+      budgetMs = JobSession.budgetMs)
     println(Harness.formatTable("Figure 6 (as table): rounds — Paral vs Asyn",
       Harness.asyncHeader, rows))
   }

@@ -106,7 +106,7 @@ object Harness {
         if (sparkFor(ds, h)) {
           val b  = budgetMs * SparkBudgetFactor
           val s1 = runSpark(spark, ds, h, SparkHIndexDecomposition.Sync, b)
-          val s2 = runSpark(spark, ds, h, SparkHIndexDecomposition.AsyncPruned(2), b)
+          val s2 = runSpark(spark, ds, h, SparkHIndexDecomposition.Pruned, b)
           (s1.timeCell, s2.timeCell)
         } else ("-", "-")
       Seq(ds.code, h.toString, base.timeCell, paral.timeCell, paralP.timeCell, sp, spp)
@@ -138,27 +138,19 @@ object Harness {
   def speedupHeader(threadCounts: Seq[Int]): Seq[String] =
     Seq("dataset", "h") ++ threadCounts.flatMap(t => Seq(s"t=$t ms", s"t=$t x"))
 
-  /** Figure-6-as-table rows: rounds to convergence, Paral vs Asyn, for both
-    * the local engine and (where enabled) the Spark dataflow engine.
+  /** Figure-6-as-table rows: rounds to convergence, Paral vs Asyn, on the
+    * local engine (BSP has no shared-memory asynchrony to measure).
     */
-  def asyncRows(datasets: Seq[DatasetSpec], hs: Seq[Int], threads: Int, budgetMs: Long,
-                sparkFor: (DatasetSpec, Int) => Boolean, spark: => SparkSession): Seq[Seq[String]] =
+  def asyncRows(datasets: Seq[DatasetSpec], hs: Seq[Int], threads: Int,
+                budgetMs: Long): Seq[Seq[String]] =
     for (ds <- datasets; h <- hs) yield {
       val g    = ds.localGraph
       val sync = runLocal(g, h, threads, async = false, pruning = false, budgetMs)
       val asyn = runLocal(g, h, threads, async = true, pruning = false, budgetMs)
-      val (sp, spa) =
-        if (sparkFor(ds, h)) {
-          val b  = budgetMs * SparkBudgetFactor
-          val s1 = runSpark(spark, ds, h, SparkHIndexDecomposition.Sync, b)
-          val s2 = runSpark(spark, ds, h, SparkHIndexDecomposition.AsyncBlocks(2), b)
-          (s1.roundsCell, s2.roundsCell)
-        } else ("-", "-")
-      Seq(ds.code, h.toString, sync.roundsCell, asyn.roundsCell, sp, spa)
+      Seq(ds.code, h.toString, sync.roundsCell, asyn.roundsCell)
     }
 
-  val asyncHeader: Seq[String] =
-    Seq("dataset", "h", "Paral rounds", "Asyn rounds", "Spark-Paral rounds", "Spark-Asyn rounds")
+  val asyncHeader: Seq[String] = Seq("dataset", "h", "Paral rounds", "Asyn rounds")
 
   /** One small decomposition per engine to JIT-warm hot paths before
     * measuring (the paper averages 10 runs; we warm up and run once).

@@ -17,8 +17,9 @@ object ClassicKTruss {
   /** Trussness of every edge (aligned with CSR edge indices). */
   def trussness(g: LocalGraph): Array[Int] = {
     val m = g.m
-    // Edge lookup: for each vertex, sorted neighbor list is already in CSR;
-    // find edge id of (a, b) by binary search over a's adjacency.
+    // Edge lookup: LocalGraph.fromEdges lays each CSR slice out strictly
+    // increasing by neighbor id, so find the edge id of (a, b) by binary
+    // search over a's adjacency.
     def edgeOf(a: Int, b: Int): Int = {
       var lo = g.offsets(a)
       var hi = g.offsets(a + 1) - 1
@@ -31,9 +32,6 @@ object ClassicKTruss {
       }
       -1
     }
-    // CSR adjacency as built is sorted by construction order, not value:
-    // sort each vertex's slice by neighbor id (paired with edge ids).
-    sortAdjacency(g)
 
     val sup = new Array[Int](m)
     var e = 0
@@ -97,22 +95,5 @@ object ClassicKTruss {
       }
     }
     t
-  }
-
-  /** Sort each CSR adjacency slice by neighbor id (stable, in place),
-    * keeping the parallel edge-id slice aligned — required by the binary
-    * search in [[trussness]].
-    */
-  private def sortAdjacency(g: LocalGraph): Unit = {
-    var v = 0
-    while (v < g.n) {
-      val from = g.offsets(v); val until = g.offsets(v + 1)
-      val idx = (from until until).sortBy(g.adjVert)
-      val nv  = idx.map(g.adjVert(_)).toArray
-      val ne  = idx.map(g.adjEdge(_)).toArray
-      var i = 0
-      while (i < nv.length) { g.adjVert(from + i) = nv(i); g.adjEdge(from + i) = ne(i); i += 1 }
-      v += 1
-    }
   }
 }

@@ -1,9 +1,5 @@
 package repro.core
 
-import org.apache.spark.sql.SparkSession
-import org.apache.spark.sql.expressions.UserDefinedFunction
-import org.apache.spark.sql.functions.udf
-
 /** The H-index operator 𝓗(S): the largest ``y`` such that at least ``y``
   * values in the multiset ``S`` are ``>= y`` (Hirsch index). This is the
   * contraction the whole parallel framework iterates (Section 4.1).
@@ -11,38 +7,17 @@ import org.apache.spark.sql.functions.udf
 object HIndex {
 
   /** H-index of a multiset of non-negative values. 𝓗(∅) = 0. */
-  def hIndex(values: Iterable[Int]): Int = boundedHIndex(values, Int.MaxValue)
-
-  /** H-index with an upper bound ``cap``: equivalent to
-    * ``min(cap, hIndex(values))`` but using a counting array of size
-    * ``cap + 1`` — O(|S| + cap) time, no sort. The engines pass the
-    * previous-round value as cap (the sequence is non-increasing, Thm. 1).
-    */
-  def boundedHIndex(values: Iterable[Int], cap: Int): Int = {
-    var size = 0
-    val it0 = values.iterator
-    while (it0.hasNext) { it0.next(); size += 1 }
-    val bound = math.min(cap.toLong, size.toLong).toInt
-    if (bound <= 0) return 0
-    val counts = new Array[Int](bound + 1)
-    val it = values.iterator
-    while (it.hasNext) {
-      val v = it.next()
-      require(v >= 0, s"h-index input must be non-negative, got $v")
-      counts(math.min(v, bound)) += 1
-    }
-    var h   = bound
-    var acc = 0
-    while (h > 0) {
-      acc += counts(h)
-      if (acc >= h) return h
-      h -= 1
-    }
-    0
+  def hIndex(values: Seq[Int]): Int = {
+    values.foreach(v => require(v >= 0, s"h-index input must be non-negative, got $v"))
+    val arr = values.toArray
+    boundedHIndex(arr, arr.length, Int.MaxValue)
   }
 
-  /** Allocation-free overload over the first ``len`` slots of ``values``;
-    * the hot path of the local engines.
+  /** H-index of the first ``len`` slots of ``values`` with an upper bound
+    * ``cap``: equivalent to ``min(cap, hIndex(values.take(len)))`` but
+    * using a counting array of size ``min(cap, len) + 1`` — O(len) time,
+    * no sort. The engines pass the previous-round value as cap (the
+    * sequence is non-increasing, Thm. 1); this is their hot path.
     */
   def boundedHIndex(values: Array[Int], len: Int, cap: Int): Int = {
     val bound = math.min(cap.toLong, len.toLong).toInt
@@ -62,18 +37,5 @@ object HIndex {
       h -= 1
     }
     0
-  }
-
-  /** Spark UDF form: ``hIndexUdf(array<int>) -> int`` (null array -> 0),
-    * used by the distributed engine's per-edge aggregation.
-    */
-  def hIndexUdf: UserDefinedFunction =
-    udf((values: Seq[Int]) => if (values == null) 0 else hIndex(values))
-
-  /** Register the UDF as ``h_index`` for SQL use; returns the function. */
-  def register(spark: SparkSession): UserDefinedFunction = {
-    val f = hIndexUdf
-    spark.udf.register("h_index", f)
-    f
   }
 }

@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 import repro.graph.HopNeighborhoods
 
@@ -15,22 +15,20 @@ import repro.graph.HopNeighborhoods
   *     maximin DP steps (join + max-aggregate) to get the reachable-path
   *     keys ``P(a, b)`` of Definition 6;
   *  2. joins ``P`` onto the common-neighbor table from both endpoints and
-  *     aggregates ``min(P(u,w), P(v,w))`` per edge with the H-index UDF;
+  *     aggregates ``min(P(u,w), P(v,w))`` per edge with a native H-index
+  *     expression (no UDF);
   *  3. merges the new values, counts changes, and ``localCheckpoint``s the
   *     key table to keep lineage flat across rounds.
   *
-  * Modes (mirroring the paper's variants in a BSP engine):
+  * Modes (the paper's variants that exist in a BSP engine; Asyn's
+  * shared-memory asynchrony does not, so Fig. 6 is reproduced by the local
+  * engine):
   *  - [[SparkHIndexDecomposition.Sync]] — Paral: every edge recomputed from
   *    the previous round's keys.
-  *  - [[SparkHIndexDecomposition.AsyncBlocks]] — Asyn: true shared-memory
-  *    asynchrony does not exist in BSP, so it is emulated by block
-  *    Gauss–Seidel: edges are split into ``blocks`` groups updated
-  *    sequentially within one outer round, each seeing the latest keys.
-  *    The paper's Fig. 6 metric (round count) is what this reproduces.
-  *  - [[SparkHIndexDecomposition.AsyncPruned]] — Paral+: AsyncBlocks plus
-  *    Lemma-4 active-set pruning via joins against the (h-1)-hop pair table
-  *    (a changed edge activates edges with an endpoint within h-1 hops of
-  *    its endpoints, only when its drop crosses their current value).
+  *  - [[SparkHIndexDecomposition.Pruned]] — Paral+: Sync plus Lemma-4
+  *    active-set pruning via joins against the (h-1)-hop pair table (a
+  *    changed edge activates edges with an endpoint within h-1 hops of its
+  *    endpoints, only when its drop crosses their current value).
   */
 object SparkHIndexDecomposition {
 
@@ -38,16 +36,20 @@ object SparkHIndexDecomposition {
   sealed trait Mode
   /** Paral: synchronous Jacobi rounds. */
   case object Sync extends Mode
-  /** Asyn: block Gauss–Seidel with ``blocks`` sequential sub-updates. */
-  final case class AsyncBlocks(blocks: Int) extends Mode
-  /** Paral+: [[AsyncBlocks]] plus Lemma-4 active-set pruning. */
-  final case class AsyncPruned(blocks: Int) extends Mode
+  /** Paral+: [[Sync]] rounds recomputing only the Lemma-4 active set. */
+  case object Pruned extends Mode
 
   /** Decomposition output: ``trussness`` with schema
     * ``(eid BIGINT, src INT, dst INT, trussness INT)`` and the number of
-    * (outer) rounds to convergence — the Fig. 6 metric.
+    * rounds to convergence.
     */
   final case class Result(trussness: DataFrame, rounds: Int)
+
+  /** H-index of an ``array<int>`` column: on the descending array,
+    * H = |{i : x_i >= i + 1}|.
+    */
+  private def hIndexOf(values: Column): Column =
+    size(filter(sort_array(values, asc = false), (x, i) => x > i))
 
   /** Run the decomposition over a canonical edge DataFrame
     * (``src, dst, eid`` — see [[repro.graph.EdgeList]]).
@@ -55,21 +57,19 @@ object SparkHIndexDecomposition {
   def decompose(edges: DataFrame, h: Int, mode: Mode = Sync, maxRounds: Int = 10000,
                 deadlineNanos: Long = Long.MaxValue): Result = {
     require(h >= 1, s"need h >= 1, got $h")
-    val hIdx  = HIndex.hIndexUdf
     val spark = edges.sparkSession
-    // The per-round relations are small relative to the session default
-    // (tuned for SF~0.1 OLAP); fewer shuffle partitions cut scheduling and
-    // planning overhead across the many fixpoint rounds. Restored on exit.
+    // The per-round relations are small; fewer shuffle partitions cut
+    // scheduling and planning overhead across the many fixpoint rounds.
+    // Restored on exit.
     val prevShuffle = spark.conf.get("spark.sql.shuffle.partitions")
     spark.conf.set("spark.sql.shuffle.partitions",
                    math.max(4, spark.sparkContext.defaultParallelism / 2))
-    try decomposeImpl(edges, h, mode, maxRounds, deadlineNanos, hIdx)
+    try decomposeImpl(edges, h, mode == Pruned, maxRounds, deadlineNanos)
     finally spark.conf.set("spark.sql.shuffle.partitions", prevShuffle)
   }
 
-  private def decomposeImpl(edges: DataFrame, h: Int, mode: Mode, maxRounds: Int,
-                            deadlineNanos: Long,
-                            hIdx: org.apache.spark.sql.expressions.UserDefinedFunction): Result = {
+  private def decomposeImpl(edges: DataFrame, h: Int, pruned: Boolean, maxRounds: Int,
+                            deadlineNanos: Long): Result = {
 
     // Static tables are eagerly localCheckpoint-ed (not just persisted): a
     // checkpoint truncates the logical plan to a flat RDD scan, so the many
@@ -85,79 +85,41 @@ object SparkHIndexDecomposition {
     val pairsHm1 = pairs.where(col("dist") <= h - 1).select("a", "b")
       .localCheckpoint().toDF("a", "b")
 
-    val (blocks, pruned) = mode match {
-      case Sync              => (1, false)
-      case AsyncBlocks(b)    => (math.max(1, b), false)
-      case AsyncPruned(b)    => (math.max(1, b), true)
-    }
-
     // Current per-edge keys H^(n): (eid, src, dst, hval).
-    // ``toDF`` after each checkpoint re-aliases with fresh expression ids so
-    // union branches across rounds never share attribute ids (Catalyst's
-    // union constraint rewrite requires distinct child outputs).
     var hdf = e0.join(HSupport.distributed(e0, h, Some(pairs)), "eid")
       .select(col("eid"), col("src"), col("dst"), col("sup") as "hval")
       .localCheckpoint()
       .toDF("eid", "src", "dst", "hval")
 
-    // Active set for pruning; null means "all edges".
-    var activeDf: DataFrame = null
+    // Edges to recompute this round; null means "all edges".
+    var active: DataFrame = null
     var rounds = 0
     var done   = false
     while (!done && rounds < maxRounds) {
+      Budget.check(deadlineNanos)
       rounds += 1
-      var roundChanged = 0L
-      // Changed-edge log for this outer round (for Lemma-4 activation).
-      var changedLog: DataFrame = null
-      var b = 0
-      while (b < blocks) {
-        Budget.check(deadlineNanos)
-        // Target: this block's slice of the active set.
-        val inBlock = if (blocks == 1) lit(true) else pmod(col("eid"), lit(blocks)) === b
-        val target =
-          if (activeDf == null) hdf.where(inBlock)
-          else hdf.where(inBlock).join(activeDf, Seq("eid"), "left_semi")
-        val p = pathKeys(hdf, adj, h)
-        val contrib = common
-          .join(target.select(col("eid")), Seq("eid"), "left_semi")
-          .alias("c")
-          .join(p.alias("pu"), col("c.u") === col("pu.a") && col("c.w") === col("pu.b"))
-          .join(p.alias("pv"), col("c.v") === col("pv.a") && col("c.w") === col("pv.b"))
-          .select(col("c.eid") as "eid", least(col("pu.p"), col("pv.p")) as "contrib")
-        val recomputed = contrib.groupBy("eid")
-          .agg(hIdx(collect_list(col("contrib"))) as "hnew")
-        // One eager checkpoint materializes the whole round pipeline once;
-        // the change log and the merged key table both read from it.
-        val updatedTarget = target
-          .join(recomputed, Seq("eid"), "left")
-          .select(col("eid"), col("src"), col("dst"), col("hval"),
-                  least(col("hval"), coalesce(col("hnew"), lit(0))) as "hnext")
-          .localCheckpoint()
-          .toDF("eid", "src", "dst", "hval", "hnext")
-        val blockChanged = updatedTarget
-          .where(col("hnext") < col("hval"))
-          .select(col("eid"), col("src"), col("dst"),
-                  col("hval") as "hold", col("hnext") as "hnew")
-        roundChanged += blockChanged.count()
-        changedLog = if (changedLog == null) blockChanged else changedLog.unionAll(blockChanged)
-        val rest = if (blocks == 1 && activeDf == null) {
-          hdf.limit(0)
-        } else hdf.join(updatedTarget.select("eid"), Seq("eid"), "left_anti")
-        hdf = rest.select("eid", "src", "dst", "hval")
-          .unionAll(updatedTarget.select(col("eid"), col("src"), col("dst"), col("hnext") as "hval"))
-          .localCheckpoint()
-          .toDF("eid", "src", "dst", "hval")
-        b += 1
-      }
-      if (pruned) {
-        val nextActive = activate(changedLog, pairsHm1, adj, hdf)
-          .localCheckpoint()
-          .toDF("eid")
-        val nActive = nextActive.count()
-        activeDf = nextActive
-        done = nActive == 0
-      } else {
-        done = roundChanged == 0
+      val p = pathKeys(hdf, adj, h)
+      val target = if (active == null) common else common.join(active, Seq("eid"), "left_semi")
+      val recomputed = target.alias("c")
+        .join(p.alias("pu"), col("c.u") === col("pu.a") && col("c.w") === col("pu.b"))
+        .join(p.alias("pv"), col("c.v") === col("pv.a") && col("c.w") === col("pv.b"))
+        .groupBy(col("c.eid") as "eid")
+        .agg(hIndexOf(collect_list(least(col("pu.p"), col("pv.p")))) as "hnew")
+      // Edges with no recomputed value keep theirs: they are either inactive
+      // or have no common h-neighbor, hence support 0 (``least`` skips nulls).
+      // One eager checkpoint materializes the whole round pipeline once.
+      val next = hdf.join(recomputed, Seq("eid"), "left")
+        .select(col("eid"), col("src"), col("dst"), col("hval"),
+                least(col("hval"), col("hnew")) as "hnext")
+        .localCheckpoint()
+        .toDF("eid", "src", "dst", "hval", "hnext")
+      val changed = next.where(col("hnext") < col("hval"))
+        .select(col("eid"), col("src"), col("dst"), col("hval") as "hold", col("hnext") as "hnew")
+      hdf  = next.select(col("eid"), col("src"), col("dst"), col("hnext") as "hval")
+      done = changed.count() == 0
+      if (pruned && !done) {
+        active = activate(changed, pairsHm1, adj, hdf).localCheckpoint().toDF("eid")
+        done = active.count() == 0
       }
     }
 

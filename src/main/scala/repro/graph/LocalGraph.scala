@@ -12,7 +12,8 @@ import org.apache.spark.sql.DataFrame
   *
   * The adjacency arrays carry, for each ``(v, neighbor)`` slot, the id of
   * the connecting edge (``adjEdge``) so per-edge key lookups during BFS are
-  * O(1). All decomposition engines treat deletions via an ``alive`` bitmask
+  * O(1); each vertex's slice is strictly increasing by neighbor id. All
+  * decomposition engines treat deletions via an ``alive`` bitmask
   * rather than mutating the CSR.
   */
 final class LocalGraph private (

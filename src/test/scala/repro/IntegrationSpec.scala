@@ -22,10 +22,10 @@ class IntegrationSpec extends SparkSpec {
 
   test("YT analogue at h=2: Spark engine agrees with the baseline") {
     val g = Datasets.YT.localGraph
-    val expect = (0 until g.m).map(e => g.eids(e) ->
-      BaselinePeeling.trussness(g, 2)(e)).toMap
+    val base = BaselinePeeling.trussness(g, 2)
+    val expect = (0 until g.m).map(e => g.eids(e) -> base(e)).toMap
     val r = SparkHIndexDecomposition.decompose(
-      Datasets.YT.edgesDf(spark), 2, SparkHIndexDecomposition.AsyncPruned(4))
+      Datasets.YT.edgesDf(spark), 2, SparkHIndexDecomposition.Pruned)
     val got = r.trussness.collect().map(row => row.getLong(0) -> row.getInt(3)).toMap
     assert(got == expect)
   }

@@ -29,6 +29,6 @@ object HIndexProperties extends Properties("HIndex") {
 
   property("bounded overload = min(cap, h)") =
     Prop.forAll(values, Gen.choose(0, 15)) { (vs, cap) =>
-      HIndex.boundedHIndex(vs, cap) == math.min(cap, HIndex.hIndex(vs))
+      HIndex.boundedHIndex(vs.toArray, vs.size, cap) == math.min(cap, HIndex.hIndex(vs))
     }
 }

@@ -4,8 +4,8 @@ import repro.{SparkSpec, TestGraphs}
 import repro.graph.{EdgeList, GraphGen, LocalGraph}
 import repro.core.{SparkHIndexDecomposition => S}
 
-/** The distributed DataFrame engine against the local baseline, across all
-  * three update schedules (Sync / AsyncBlocks / AsyncPruned).
+/** The distributed DataFrame engine against the local baseline, across
+  * both update schedules (Sync / Pruned).
   */
 class SparkHIndexSpec extends SparkSpec {
 
@@ -24,27 +24,27 @@ class SparkHIndexSpec extends SparkSpec {
 
   test("triangle at h=1 (all modes)") {
     val exp = expected(TestGraphs.triangle, 1)
-    for (mode <- Seq[S.Mode](S.Sync, S.AsyncBlocks(2), S.AsyncPruned(2)))
+    for (mode <- Seq[S.Mode](S.Sync, S.Pruned))
       assert(run(TestGraphs.triangle, 1, mode)._1 == exp, mode.toString)
   }
 
   test("two cliques with bridge at h=1 (all modes)") {
     val exp = expected(TestGraphs.twoCliquesBridge, 1)
-    for (mode <- Seq[S.Mode](S.Sync, S.AsyncBlocks(2), S.AsyncPruned(2)))
+    for (mode <- Seq[S.Mode](S.Sync, S.Pruned))
       assert(run(TestGraphs.twoCliquesBridge, 1, mode)._1 == exp, mode.toString)
   }
 
   test("bowtie and C6 at h=2 (all modes)") {
     for (edges <- Seq(TestGraphs.bowtie, TestGraphs.c6)) {
       val exp = expected(edges, 2)
-      for (mode <- Seq[S.Mode](S.Sync, S.AsyncBlocks(2), S.AsyncPruned(2)))
+      for (mode <- Seq[S.Mode](S.Sync, S.Pruned))
         assert(run(edges, 2, mode)._1 == exp, s"$edges $mode")
     }
   }
 
   test("fig1-like graph at h=2 across modes") {
     val exp = expected(TestGraphs.fig1Like, 2)
-    for (mode <- Seq[S.Mode](S.Sync, S.AsyncBlocks(3), S.AsyncPruned(3)))
+    for (mode <- Seq[S.Mode](S.Sync, S.Pruned))
       assert(run(TestGraphs.fig1Like, 2, mode)._1 == exp, mode.toString)
   }
 
@@ -53,27 +53,19 @@ class SparkHIndexSpec extends SparkSpec {
       assert(run(edges, h, S.Sync)._1 == expected(edges, h), s"rand$i h=$h")
   }
 
-  test("random graphs at h=2, async and pruned modes") {
-    for ((edges, i) <- TestGraphs.randomPool(3, 14, 530).zipWithIndex) {
-      val exp = expected(edges, 2)
-      assert(run(edges, 2, S.AsyncBlocks(2))._1 == exp, s"rand$i async")
-      assert(run(edges, 2, S.AsyncPruned(2))._1 == exp, s"rand$i pruned")
-    }
+  test("random graphs at h=2, pruned mode") {
+    for ((edges, i) <- TestGraphs.randomPool(3, 14, 530).zipWithIndex)
+      assert(run(edges, 2, S.Pruned)._1 == expected(edges, 2), s"rand$i pruned")
   }
 
   test("sync round count matches the local synchronous engine") {
     for (edges <- Seq(TestGraphs.fig1Like, GraphGen.smallWorld(30, 4, 0.2, 9))) {
       val g = LocalGraph.fromEdges(edges)
       val localRounds = LocalHIndexDecomposition.decompose(g, 2, LocalHIndexConfig()).rounds
-      assert(run(edges, 2, S.Sync)._2 == localRounds)
+      val syncRounds  = run(edges, 2, S.Sync)._2
+      assert(syncRounds == localRounds)
+      assert(run(edges, 2, S.Pruned)._2 <= syncRounds)
     }
-  }
-
-  test("async blocks need no more rounds than sync") {
-    val edges = GraphGen.smallWorld(30, 4, 0.2, 19)
-    val sync  = run(edges, 2, S.Sync)._2
-    val asyn  = run(edges, 2, S.AsyncBlocks(4))._2
-    assert(asyn <= sync)
   }
 
   test("result carries src/dst columns consistent with eid") {
@@ -87,6 +79,6 @@ class SparkHIndexSpec extends SparkSpec {
   test("medium graph at h=2 equals local engine end-to-end") {
     val edges = GraphGen.chungLu(60, 140, 2.3, 57)
     val exp = expected(edges, 2)
-    assert(run(edges, 2, S.AsyncPruned(4))._1 == exp)
+    assert(run(edges, 2, S.Pruned)._1 == exp)
   }
 }

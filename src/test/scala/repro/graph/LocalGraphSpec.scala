@@ -44,6 +44,17 @@ class LocalGraphSpec extends AnyFunSuite {
       assert(g.eids(e) == EdgeList.eid(g.label(g.edgeSrc(e)), g.label(g.edgeDst(e))))
   }
 
+  test("adjacency slices are strictly increasing and aligned with edge ids") {
+    for ((edges, i) <- TestGraphs.randomPool(12, 40, 900).zipWithIndex) {
+      val g = LocalGraph.fromEdges(edges)
+      for (v <- 0 until g.n; s <- g.offsets(v) until g.offsets(v + 1)) {
+        if (s > g.offsets(v)) assert(g.adjVert(s - 1) < g.adjVert(s), s"pool$i v=$v slot=$s")
+        val e = g.adjEdge(s)
+        assert(Set(g.edgeSrc(e), g.edgeDst(e)) == Set(v, g.adjVert(s)), s"pool$i v=$v slot=$s")
+      }
+    }
+  }
+
   test("ball(v, 1) equals the neighbor set") {
     val g = LocalGraph.fromEdges(TestGraphs.twoCliquesBridge)
     for (v <- 0 until g.n) assert(g.ball(v, 1) == g.neighbors(v).toSet)
