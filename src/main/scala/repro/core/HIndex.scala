@@ -17,12 +17,29 @@ object HIndex {
     * ``cap``: equivalent to ``min(cap, hIndex(values.take(len)))`` but
     * using a counting array of size ``min(cap, len) + 1`` — O(len) time,
     * no sort. The engines pass the previous-round value as cap (the
-    * sequence is non-increasing, Thm. 1); this is their hot path.
+    * sequence is non-increasing, Thm. 1). This form allocates its counting
+    * array.
     */
   def boundedHIndex(values: Array[Int], len: Int, cap: Int): Int = {
     val bound = math.min(cap.toLong, len.toLong).toInt
+    if (bound <= 0) 0 else countDown(values, len, bound, new Array[Int](bound + 1))
+  }
+
+  /** The engines' hot path: [[boundedHIndex]] counting in their scratch's
+    * ``counts``, which must be longer than ``min(cap, len)``; its first
+    * ``min(cap, len) + 1`` slots are overwritten.
+    */
+  def boundedHIndex(values: Array[Int], len: Int, cap: Int, counts: Array[Int]): Int = {
+    val bound = math.min(cap.toLong, len.toLong).toInt
     if (bound <= 0) return 0
-    val counts = new Array[Int](bound + 1)
+    java.util.Arrays.fill(counts, 0, bound + 1, 0)
+    countDown(values, len, bound, counts)
+  }
+
+  /** H-index bounded by ``bound >= 1``, counting in ``counts``, which is
+    * zero in slots ``0 .. bound``.
+    */
+  private def countDown(values: Array[Int], len: Int, bound: Int, counts: Array[Int]): Int = {
     var i = 0
     while (i < len) {
       val v = values(i)

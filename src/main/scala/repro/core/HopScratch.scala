@@ -2,13 +2,44 @@ package repro.core
 
 import repro.graph.LocalGraph
 
+/** Static h-ball index of a [[LocalGraph]] plus one maximin key per entry:
+  * the store a synchronous round of the local engine shares between its two
+  * phases (see [[HopScratch]]).
+  *
+  * ``shellOff(v * (h + 1) + k)``, ``k = 0 .. h``, is the start in
+  * ``ballVert`` of the vertices at distance exactly ``k`` from ``v`` (shell
+  * 0 is ``v`` itself), so ``ballVert(start(v) until end(v))`` is
+  * ``ball_h(v)`` in BFS order. ``keys(j)`` is the maximin key from ``v`` to
+  * ``ballVert(j)``, written by the vertex phase. Both arrays hold
+  * ``n + Σ|ball_h(v)|`` ints, 8 bytes per ball entry in all.
+  */
+final class BallIndex(val h: Int, val shellOff: Array[Int], val ballVert: Array[Int]) {
+  val keys = new Array[Int](ballVert.length)
+
+  def start(v: Int): Int = shellOff(v * (h + 1))
+  def end(v: Int): Int   = shellOff((v + 1) * (h + 1))
+}
+
 /** Per-thread scratch workspace for h-hop computations on a [[LocalGraph]].
   *
   * Holds reusable stamped arrays for two simultaneous BFS frontiers (one per
   * edge endpoint), the hop-bounded maximin ("widest path") DP buffers of
-  * Algorithm 3, and a contributions buffer for the H-index aggregation —
-  * all allocation-free in steady state. One instance per worker thread;
-  * instances must not be shared across threads.
+  * Algorithm 3, and the contributions and counting buffers of the H-index
+  * aggregation — all allocation-free in steady state. One instance per
+  * worker thread; instances must not be shared across threads.
+  *
+  * Algorithm 3's order-n value of ``e = (u, v)`` depends only on the
+  * maximin keys of ``u`` and ``v``. A synchronous round therefore runs in
+  * two phases over a [[BallIndex]]: [[storeKeys]] writes each needed
+  * vertex's keys once, and [[storeHIndices]] combines the stored keys of
+  * each edge's endpoints. Asynchronous rounds read live values, so they
+  * use the per-edge [[computeHIndex]], which rebuilds both endpoints' keys.
+  *
+  * Both maximin DPs make ``h`` sweeps, and sweep ``d`` relaxes only the
+  * BFS-order prefix at distance ``<= d + 1``, pushing from the prefix at
+  * distance ``<= d``: no vertex farther out has a path of ``d + 1`` hops
+  * yet, so the ball's rim is never scanned. The key buffers hold -1 outside
+  * any call, so a vertex outside the ball never contributes.
   */
 final class HopScratch(g: LocalGraph) {
   private var token = 0
@@ -20,14 +51,20 @@ final class HopScratch(g: LocalGraph) {
   private val distV  = new Array[Int](g.n)
   private val orderV = new Array[Int](g.n)
 
-  private val keyU1 = new Array[Int](g.n)
-  private val keyU2 = new Array[Int](g.n)
-  private val keyV1 = new Array[Int](g.n)
-  private val keyV2 = new Array[Int](g.n)
+  private val keyU1 = noKeys()
+  private val keyU2 = noKeys()
+  private val keyV1 = noKeys()
+  private val keyV2 = noKeys()
+
+  // Per-edge DP: ends of the BFS-order prefixes at distance 0 .. h.
+  private var ends = new Array[Int](4)
 
   private var contrib = new Array[Int](64)
+  private var counts  = new Array[Int](65)
 
   private def nextToken(): Int = { token += 1; token }
+
+  private def noKeys(): Array[Int] = { val a = new Array[Int](g.n); java.util.Arrays.fill(a, -1); a }
 
   /** h-support of the edge ``(u, v)`` over ``alive`` edges (``null`` = all):
     * the number of vertices within distance ``h`` of both endpoints,
@@ -48,55 +85,79 @@ final class HopScratch(g: LocalGraph) {
     count
   }
 
-  /** Hop-bounded maximin path keys from ``src`` (Algorithm 3's BFS/DP): for
-    * every vertex ``w`` within ``h`` hops, ``key(w) = max over paths p from
-    * src to w with |p| <= h of min over edges e in p of hval(e)``.
-    *
-    * Returns the key array (valid only at vertices stamped with the
-    * returned token in ``stamp``); ``order``/count expose the visited ball.
-    * Runs ``h`` synchronous relaxation sweeps over the ball's adjacency, so
-    * cost is O(h * ball-edges).
+  /** Hop-bounded maximin path keys (Algorithm 3's BFS/DP) from the root
+    * ``ball(from)`` of a ball listed in BFS order in ``ball(from until
+    * ends(endsAt + h))``, where ``ends(endsAt + d)`` ends the prefix at
+    * distance ``<= d``: for every ball vertex ``w``, ``key(w) = max over
+    * paths p from the root to w with |p| <= h of min over edges e in p of
+    * hval(e)``. Sweep ``d`` relaxes the prefix at distance ``<= d + 1`` by
+    * pushing from the prefix at distance ``<= d``, the only vertices with a
+    * key yet; every neighbour of those lies in the ball. Returns the one of
+    * ``key1``/``key2`` holding the keys; the caller resets both to -1 over
+    * the ball.
     */
-  private def maximinKeys(src: Int, h: Int, hval: Array[Int],
-                          stamp: Array[Int], dist: Array[Int], order: Array[Int],
-                          key1: Array[Int], key2: Array[Int]): (Array[Int], Int, Int) = {
-    val t   = nextToken()
-    val cnt = g.bfs(src, h, null, stamp, t, dist, order)
-    var i = 0
-    while (i < cnt) { key1(order(i)) = -1; i += 1 }
-    key1(src) = Int.MaxValue
+  private def maximinKeys(ball: Array[Int], from: Int, ends: Array[Int], endsAt: Int, h: Int,
+                          hval: Array[Int], key1: Array[Int], key2: Array[Int]): Array[Int] = {
+    key1(ball(from)) = Int.MaxValue
     var ka = key1
     var kb = key2
     var d = 0
     while (d < h) {
-      var j = 0
-      while (j < cnt) {
-        val w = order(j)
-        if (w != src) {
-          var best = ka(w)
-          var p    = g.offsets(w)
-          val end  = g.offsets(w + 1)
-          while (p < end) {
-            val x = g.adjVert(p)
-            if (stamp(x) == t) {
-              val kx = ka(x)
-              if (kx >= 0) {
-                val he   = hval(g.adjEdge(p))
-                val cand = if (kx < he) kx else he
-                if (cand > best) best = cand
-              }
-            }
-            p += 1
-          }
-          kb(w) = best
+      val reach = ends(endsAt + d + 1)
+      var j = from
+      while (j < reach) { val w = ball(j); kb(w) = ka(w); j += 1 }
+      val frontier = ends(endsAt + d)
+      j = from
+      while (j < frontier) {
+        val x   = ball(j)
+        val kx  = ka(x)
+        var p   = g.offsets(x)
+        val end = g.offsets(x + 1)
+        while (p < end) {
+          val he   = hval(g.adjEdge(p))
+          val cand = if (kx < he) kx else he
+          val y    = g.adjVert(p)
+          if (cand > kb(y)) kb(y) = cand
+          p += 1
         }
         j += 1
       }
-      kb(src) = Int.MaxValue
       val tmp = ka; ka = kb; kb = tmp
       d += 1
     }
-    (ka, t, cnt)
+    ka
+  }
+
+  private def resetKeys(ball: Array[Int], from: Int, until: Int, key1: Array[Int], key2: Array[Int]): Unit = {
+    var j = from
+    while (j < until) { val w = ball(j); key1(w) = -1; key2(w) = -1; j += 1 }
+  }
+
+  /** BFS from ``src`` into ``order``/``dist``, then the maximin DP over
+    * that ball; returns the key buffer and the ball size.
+    */
+  private def bfsKeys(src: Int, h: Int, hval: Array[Int], stamp: Array[Int], dist: Array[Int],
+                      order: Array[Int], key1: Array[Int], key2: Array[Int]): (Array[Int], Int) = {
+    val cnt = g.bfs(src, h, null, stamp, nextToken(), dist, order)
+    if (ends.length <= h) ends = new Array[Int](h + 1)
+    var j = 0
+    var d = 0
+    while (d <= h) {
+      while (j < cnt && dist(order(j)) <= d) j += 1
+      ends(d) = j
+      d += 1
+    }
+    (maximinKeys(order, 0, ends, 0, h, hval, key1, key2), cnt)
+  }
+
+  private def hIndexOfContribs(n: Int, cap: Int): Int = {
+    if (counts.length <= n) counts = new Array[Int](contrib.length + 1)
+    HIndex.boundedHIndex(contrib, n, cap, counts)
+  }
+
+  private def addContrib(n: Int, c: Int): Unit = {
+    if (n == contrib.length) contrib = java.util.Arrays.copyOf(contrib, contrib.length * 2)
+    contrib(n) = c
   }
 
   /** One Algorithm-3 step: the next-order H-index of edge ``e`` given the
@@ -106,22 +167,119 @@ final class HopScratch(g: LocalGraph) {
   def computeHIndex(e: Int, h: Int, hval: Array[Int], cap: Int): Int = {
     val u = g.edgeSrc(e)
     val v = g.edgeDst(e)
-    val (keyU, tU, cntU) = maximinKeys(u, h, hval, stampU, distU, orderU, keyU1, keyU2)
-    val (keyV, tV, _)    = maximinKeys(v, h, hval, stampV, distV, orderV, keyV1, keyV2)
+    val (keyU, cntU) = bfsKeys(u, h, hval, stampU, distU, orderU, keyU1, keyU2)
+    val (keyV, cntV) = bfsKeys(v, h, hval, stampV, distV, orderV, keyV1, keyV2)
     var nContrib = 0
     var i = 0
     while (i < cntU) {
-      val w = orderU(i)
-      if (w != u && w != v && stampV(w) == tV) {
-        val c = math.min(keyU(w), keyV(w))
-        if (nContrib == contrib.length) contrib = java.util.Arrays.copyOf(contrib, contrib.length * 2)
-        contrib(nContrib) = math.max(c, 0)
+      val w  = orderU(i)
+      val kv = keyV(w)
+      if (kv >= 0 && w != u && w != v) {
+        val ku = keyU(w)
+        addContrib(nContrib, if (ku < kv) ku else kv)
         nContrib += 1
       }
       i += 1
     }
-    HIndex.boundedHIndex(contrib, nContrib, cap)
+    resetKeys(orderU, 0, cntU, keyU1, keyU2)
+    resetKeys(orderV, 0, cntV, keyV1, keyV2)
+    hIndexOfContribs(nContrib, cap)
   }
+
+  /** Count pass of [[BallIndex]] construction: adds the size of each
+    * distance-``k`` shell of ``ball_h(v)`` to ``shells(v * (h + 1) + k)``.
+    */
+  def countShells(v: Int, h: Int, shells: Array[Int]): Unit = {
+    val cnt = g.bfs(v, h, null, stampU, nextToken(), distU, orderU)
+    var i = 0
+    while (i < cnt) { shells(v * (h + 1) + distU(orderU(i))) += 1; i += 1 }
+  }
+
+  /** Fill pass of [[BallIndex]] construction: copies ``ball_h(v)`` in BFS
+    * order into ``index.ballVert`` from ``index.start(v)``.
+    */
+  def fillBall(v: Int, index: BallIndex): Unit = {
+    val cnt = g.bfs(v, index.h, null, stampU, nextToken(), distU, orderU)
+    System.arraycopy(orderU, 0, index.ballVert, index.start(v), cnt)
+  }
+
+  /** Vertex phase of a synchronous round: writes ``v``'s maximin keys over
+    * the current values ``hval`` into ``index.keys``.
+    */
+  def storeKeys(v: Int, index: BallIndex, hval: Array[Int]): Unit = {
+    val from = index.start(v)
+    val end  = index.end(v)
+    val key  = maximinKeys(index.ballVert, from, index.shellOff, v * (index.h + 1) + 1, index.h,
+                           hval, keyU1, keyU2)
+    var j = from
+    while (j < end) { index.keys(j) = key(index.ballVert(j)); j += 1 }
+    resetKeys(index.ballVert, from, end, keyU1, keyU2)
+  }
+
+  /** Calls ``f(e, n)`` for each edge ``e = (u, v)`` in ``from until
+    * until`` that ``active`` holds (``null`` = all), once ``contrib`` holds
+    * ``min(key_u(w), key_v(w))`` over the ``n`` common h-neighbours ``w``
+    * of ``e``, from the stored keys. Edges are sorted by source, so ``u``'s
+    * keys are loaded into a dense buffer once per run of its edges; each
+    * edge then scans ``ball(v)``.
+    */
+  private def gatherStored(index: BallIndex, from: Int, until: Int, active: java.util.BitSet)
+                          (f: (Int, Int) => Unit): Unit = {
+    val vert = index.ballVert
+    val keys = index.keys
+    def load(u: Int, clear: Boolean): Unit = {
+      var j = index.start(u)
+      val end = index.end(u)
+      while (j < end) { keyU1(vert(j)) = if (clear) -1 else keys(j); j += 1 }
+    }
+    var loaded = -1
+    var e = from
+    while (e < until) {
+      if (active == null || active.get(e)) {
+        val u = g.edgeSrc(e)
+        if (u != loaded) {
+          if (loaded >= 0) load(loaded, clear = true)
+          load(u, clear = false)
+          loaded = u
+        }
+        var n = 0
+        var j = index.start(g.edgeDst(e)) + 1
+        val end = index.end(g.edgeDst(e))
+        while (j < end) {
+          val w  = vert(j)
+          val ku = keyU1(w)
+          if (ku >= 0 && w != u) {
+            val kv = keys(j)
+            addContrib(n, if (ku < kv) ku else kv)
+            n += 1
+          }
+          j += 1
+        }
+        f(e, n)
+      }
+      e += 1
+    }
+    if (loaded >= 0) load(loaded, clear = true)
+  }
+
+  /** h-supports of the edges ``from until until`` into ``out``, from the
+    * index: each edge's number of common h-neighbours, whatever the stored
+    * keys (they are never negative).
+    */
+  def storeSupports(index: BallIndex, from: Int, until: Int, out: Array[Int]): Unit =
+    gatherStored(index, from, until, null)((e, n) => out(e) = n)
+
+  /** Edge phase of a synchronous round over the edges ``from until until``
+    * that ``active`` holds: [[computeHIndex]] of each edge ``e`` with cap
+    * ``hval(e)``, from the keys the vertex phase stored for its endpoints;
+    * calls ``lower(e, value)`` where the value is below the cap.
+    */
+  def storeHIndices(index: BallIndex, from: Int, until: Int, active: java.util.BitSet, hval: Array[Int])
+                   (lower: (Int, Int) => Unit): Unit =
+    gatherStored(index, from, until, active) { (e, n) =>
+      val nh = hIndexOfContribs(n, hval(e))
+      if (nh < hval(e)) lower(e, nh)
+    }
 
   /** Visit every vertex within ``depth`` hops of ``src`` (including ``src``)
     * over ``alive`` edges, applying ``f``. Used for peeling invalidation and

@@ -1,6 +1,7 @@
 package repro.core
 
 import java.util.concurrent.{Callable, Executors}
+import java.util.concurrent.atomic.AtomicInteger
 import scala.jdk.CollectionConverters._
 import repro.graph.LocalGraph
 
@@ -11,14 +12,24 @@ import repro.graph.LocalGraph
   *  - '''Single''': ``threads = 1, async = false, pruning = false``
   *  - '''Paral''':  ``threads = T, async = false, pruning = false`` —
   *    synchronous rounds; every edge's order-n value is computed from the
-  *    order-(n-1) snapshot.
+  *    order-(n-1) values. A synchronous round is two parallel phases over a
+  *    [[BallIndex]] built once per decomposition: the vertex phase writes
+  *    the maximin keys of every endpoint of an active edge, reading the
+  *    order-(n-1) values, and the edge phase combines each edge's two key
+  *    vectors, so no snapshot of the values is taken.
   *  - '''Asyn''':   ``async = true`` — threads read the live shared key
   *    array, so later edges in a round see already-updated same-round values
   *    (Section 4.1 shows this preserves monotonicity and the fixpoint).
   *  - '''Paral+''': ``async = true, pruning = true`` — additionally skips
   *    edges none of whose dependencies changed in a way that can lower their
   *    value (Lemma 4: a drop of e' from old to new affects H(e) only when
-  *    ``new < H(e) <= old``).
+  *    ``new < H(e) <= old``). With ``async = false`` the pruned rounds are
+  *    synchronous, and their vertex phase covers only the endpoints of the
+  *    active edges.
+  *
+  * Every parallel loop hands out fixed-size slices of edges or vertices
+  * from a shared cursor. The maximin DPs sweep only the BFS-order prefix
+  * that can hold a key yet (see [[HopScratch]]).
   *
   * Determinism: the final trussness vector is the unique fixpoint and is
   * identical across variants and thread counts; only the round count of the
@@ -41,6 +52,9 @@ final case class LocalHIndexResult(trussness: Array[Int], rounds: Int, initialSu
 
 object LocalHIndexDecomposition {
 
+  /** Edges or vertices a worker takes from the shared cursor at a time. */
+  private val Slice = 16
+
   /** Run the decomposition of graph ``g`` at hop threshold ``h``. */
   def decompose(g: LocalGraph, h: Int, config: LocalHIndexConfig = LocalHIndexConfig()): LocalHIndexResult = {
     require(h >= 1, s"need h >= 1, got $h")
@@ -52,35 +66,61 @@ object LocalHIndexDecomposition {
     val pool     = Executors.newFixedThreadPool(nThreads)
     try {
       val scratches = Array.fill(nThreads)(new HopScratch(g))
-      val chunks: Array[(Int, Int)] = {
-        val size = (m + nThreads - 1) / nThreads
-        (0 until nThreads).map(i => (i * size, math.min(m, (i + 1) * size))).toArray
-      }
 
-      def parallelDo[A](work: Int => A): Seq[A] = {
-        val tasks: Seq[Callable[A]] =
-          (0 until nThreads).map(i => new Callable[A] { def call(): A = work(i) })
-        pool.invokeAll(tasks.asJava).asScala.map { fut =>
+      // Runs body(thread, from, until) over slices covering 0 until count.
+      // Threads take fixed-size slices from a shared cursor, so a thread
+      // that drew cheap edges or vertices takes more of them.
+      def forSlices(count: Int)(body: (Int, Int, Int) => Unit): Unit = {
+        val cursor = new AtomicInteger(0)
+        val tasks = (0 until nThreads).map { t =>
+          new Callable[Unit] {
+            def call(): Unit = {
+              var from = cursor.getAndAdd(Slice)
+              while (from < count) {
+                Budget.check(config.deadlineNanos)
+                body(t, from, math.min(count, from + Slice))
+                from = cursor.getAndAdd(Slice)
+              }
+            }
+          }
+        }
+        pool.invokeAll(tasks.asJava).asScala.foreach { fut =>
           try fut.get()
           catch {
             // Surface the worker's own exception (e.g. Budget.Exceeded).
             case e: java.util.concurrent.ExecutionException if e.getCause != null =>
               throw e.getCause
           }
-        }.toSeq
+        }
       }
+      def forAll(count: Int)(body: (Int, Int) => Unit): Unit =
+        forSlices(count) { (t, from, until) =>
+          var i = from
+          while (i < until) { body(t, i); i += 1 }
+        }
+
+      // Synchronous rounds share per-vertex keys through a ball index built
+      // once; its count and fill passes are two parallel BFS sweeps.
+      val index =
+        if (config.async) null
+        else {
+          val shellOff = new Array[Int](g.n * (h + 1) + 1)
+          forAll(g.n)((t, v) => scratches(t).countShells(v, h, shellOff))
+          var total = 0L
+          var k = 0
+          while (k < shellOff.length) {
+            val size = shellOff(k); shellOff(k) = total.toInt; total += size; k += 1
+          }
+          require(total < Int.MaxValue, s"h-ball index of $total entries exceeds one array")
+          val idx = new BallIndex(h, shellOff, new Array[Int](total.toInt))
+          forAll(g.n)((t, v) => scratches(t).fillBall(v, idx))
+          idx
+        }
 
       // Order-0 values: h-supports, computed in parallel (Alg. 2 lines 1-3).
       val hcur = new Array[Int](m)
-      parallelDo { i =>
-        val (from, until) = chunks(i)
-        var e = from
-        while (e < until) {
-          if ((e & 63) == 0) Budget.check(config.deadlineNanos)
-          hcur(e) = scratches(i).support(g.edgeSrc(e), g.edgeDst(e), h, null)
-          e += 1
-        }
-      }
+      if (index == null) forAll(m)((t, e) => hcur(e) = scratches(t).support(g.edgeSrc(e), g.edgeDst(e), h, null))
+      else forSlices(m)((t, from, until) => scratches(t).storeSupports(index, from, until, hcur))
       val sup0 = hcur.clone()
 
       var active = new java.util.BitSet(m); active.set(0, m)
@@ -88,27 +128,27 @@ object LocalHIndexDecomposition {
       var done   = false
       while (!done && rounds < config.maxRounds) {
         rounds += 1
-        val snapshot = if (config.async) hcur else hcur.clone()
-        // Per-thread change logs: (edge, oldValue) pairs for activation.
-        val changes = parallelDo { i =>
-          val (from, until) = chunks(i)
-          val log = new scala.collection.mutable.ArrayBuffer[(Int, Int)]()
-          var e = from
-          while (e < until) {
-            if ((e & 63) == 0) Budget.check(config.deadlineNanos)
-            if (active.get(e)) {
-              val old = hcur(e)
-              val nh  = scratches(i).computeHIndex(e, h, snapshot, old)
-              if (nh < old) {
-                hcur(e) = nh
-                log += ((e, old))
-              }
-            }
-            e += 1
-          }
-          log
+        if (index != null) {
+          // Vertex phase: the keys of every endpoint of an active edge, from
+          // the previous round's values; the edge phase below only reads them.
+          val needed = new java.util.BitSet(g.n)
+          var e = active.nextSetBit(0)
+          while (e >= 0) { needed.set(g.edgeSrc(e)); needed.set(g.edgeDst(e)); e = active.nextSetBit(e + 1) }
+          forAll(g.n)((t, v) => if (needed.get(v)) scratches(t).storeKeys(v, index, hcur))
         }
-        val changed = changes.map(_.length).sum
+        // Per-thread change logs: (edge, oldValue) pairs for activation.
+        val logs = Array.fill(nThreads)(new scala.collection.mutable.ArrayBuffer[(Int, Int)]())
+        def lower(t: Int, e: Int, nh: Int): Unit = { logs(t) += ((e, hcur(e))); hcur(e) = nh }
+        if (index == null) forAll(m) { (t, e) =>
+          if (active.get(e)) {
+            val nh = scratches(t).computeHIndex(e, h, hcur, hcur(e))
+            if (nh < hcur(e)) lower(t, e, nh)
+          }
+        }
+        else forSlices(m) { (t, from, until) =>
+          scratches(t).storeHIndices(index, from, until, active, hcur)((e, nh) => lower(t, e, nh))
+        }
+        val changed = logs.map(_.length).sum
         if (config.pruning) {
           // Lemma-4 activation: a changed e' = (x, y) can affect only the
           // edges with an endpoint within h-1 hops of x or y, and only if
@@ -123,7 +163,7 @@ object LocalHIndexDecomposition {
           val oldMax  = new Array[Int](g.n)
           val newMin  = new Array[Int](g.n)
           val rootSet = new java.util.BitSet(g.n)
-          for (log <- changes; (ePrime, old) <- log) {
+          for (log <- logs; (ePrime, old) <- log) {
             val nw = hcur(ePrime)
             var side = 0
             while (side < 2) {
@@ -136,8 +176,11 @@ object LocalHIndexDecomposition {
               side += 1
             }
           }
-          var root = rootSet.nextSetBit(0)
+          var root   = rootSet.nextSetBit(0)
+          var walked = 0
           while (root >= 0) {
+            if ((walked & 63) == 0) Budget.check(config.deadlineNanos)
+            walked += 1
             val old = oldMax(root); val nw = newMin(root)
             act.forEachBallVertex(root, h - 1, null) { z =>
               var i = g.offsets(z)

@@ -67,8 +67,10 @@ class HIndexSpec extends AnyFunSuite {
       val arr = Array.fill(30)(rng.nextInt(15))
       val len = rng.nextInt(31)
       val cap = rng.nextInt(10)
-      assert(HIndex.boundedHIndex(arr, len, cap) ==
-             math.min(cap, NaiveReference.hIndex(arr.take(len).toSeq)))
+      val expect = math.min(cap, NaiveReference.hIndex(arr.take(len).toSeq))
+      assert(HIndex.boundedHIndex(arr, len, cap) == expect)
+      // The scratch form must not trust what a previous call left in counts.
+      assert(HIndex.boundedHIndex(arr, len, cap, Array.fill(31)(rng.nextInt(9))) == expect)
     }
   }
 

@@ -69,8 +69,10 @@ class LocalHIndexSpec extends AnyFunSuite {
       val sync   = LocalHIndexDecomposition.decompose(g, h, LocalHIndexConfig(threads = 8))
       val asyncP = LocalHIndexDecomposition.decompose(
         g, h, LocalHIndexConfig(threads = 8, async = true, pruning = true))
+      val syncP  = LocalHIndexDecomposition.decompose(g, h, LocalHIndexConfig(threads = 8, pruning = true))
       assert(sync.trussness.toSeq == expect)
       assert(asyncP.trussness.toSeq == expect)
+      assert(syncP.trussness.toSeq == expect)
     }
   }
 
@@ -83,7 +85,7 @@ class LocalHIndexSpec extends AnyFunSuite {
   }
 
   test("first synchronous round matches the naive Algorithm-3 step") {
-    for (seed <- 0 until 5; h <- 1 to 2) {
+    for (seed <- 0 until 5; h <- 1 to 3) {
       val edges = TestGraphs.randomPool(1, 14, 800 + seed).head
       val g = LocalGraph.fromEdges(edges)
       val sup = HSupport.local(g, h)
@@ -95,6 +97,14 @@ class LocalHIndexSpec extends AnyFunSuite {
         val got = scratch.computeHIndex(e, h, sup, sup(e))
         val pair = (g.label(g.edgeSrc(e)), g.label(g.edgeDst(e)))
         assert(math.min(got, sup(e)) == expect(pair), s"seed=$seed h=$h e=$pair")
+      }
+      // The engine's synchronous round: vertex phase, then edge phase.
+      for (t <- Seq(1, 4)) {
+        val r = LocalHIndexDecomposition.decompose(g, h, LocalHIndexConfig(threads = t, maxRounds = 1))
+        for (e <- 0 until g.m) {
+          val pair = (g.label(g.edgeSrc(e)), g.label(g.edgeDst(e)))
+          assert(r.trussness(e) - 2 == expect(pair), s"seed=$seed h=$h t=$t e=$pair")
+        }
       }
     }
   }
@@ -126,9 +136,9 @@ class LocalHIndexSpec extends AnyFunSuite {
 
   test("budget exceeded raises Budget.Exceeded") {
     val g = LocalGraph.fromEdges(GraphGen.smallWorld(400, 8, 0.1, 3))
-    intercept[Budget.Exceeded] {
+    for (pruning <- Seq(false, true)) intercept[Budget.Exceeded] {
       LocalHIndexDecomposition.decompose(
-        g, 3, LocalHIndexConfig(threads = 4, deadlineNanos = System.nanoTime() + 1000L))
+        g, 3, LocalHIndexConfig(threads = 4, pruning = pruning, deadlineNanos = System.nanoTime() + 1000L))
     }
   }
 
