@@ -33,7 +33,8 @@ final class BallIndex(val h: Int, val shellOff: Array[Int], val ballVert: Array[
   * two phases over a [[BallIndex]]: [[storeKeys]] writes each needed
   * vertex's keys once, and [[storeHIndices]] combines the stored keys of
   * each edge's endpoints. Asynchronous rounds read live values, so they
-  * use the per-edge [[computeHIndex]], which rebuilds both endpoints' keys.
+  * use the per-edge [[computeHIndex]], which rebuilds both endpoints' keys;
+  * so do synchronous rounds whose index would not fit in the heap.
   *
   * Both maximin DPs make ``h`` sweeps, and sweep ``d`` relaxes only the
   * BFS-order prefix at distance ``<= d + 1``, pushing from the prefix at
@@ -216,15 +217,15 @@ final class HopScratch(g: LocalGraph) {
     resetKeys(index.ballVert, from, end, keyU1, keyU2)
   }
 
-  /** Calls ``f(e, n)`` for each edge ``e = (u, v)`` in ``from until
-    * until`` that ``active`` holds (``null`` = all), once ``contrib`` holds
-    * ``min(key_u(w), key_v(w))`` over the ``n`` common h-neighbours ``w``
-    * of ``e``, from the stored keys. Edges are sorted by source, so ``u``'s
-    * keys are loaded into a dense buffer once per run of its edges; each
-    * edge then scans ``ball(v)``.
+  /** Edge phase of a synchronous round over the edges ``from until until``
+    * that ``active`` holds: [[computeHIndex]] of each edge ``e = (u, v)``
+    * with cap ``hval(e)``, from the keys the vertex phase stored for its
+    * endpoints; calls ``lower(e, value)`` where the value is below the cap.
+    * Edges are sorted by source, so ``u``'s keys are loaded into a dense
+    * buffer once per run of its edges; each edge then scans ``ball(v)``.
     */
-  private def gatherStored(index: BallIndex, from: Int, until: Int, active: java.util.BitSet)
-                          (f: (Int, Int) => Unit): Unit = {
+  def storeHIndices(index: BallIndex, from: Int, until: Int, active: java.util.BitSet, hval: Array[Int])
+                   (lower: (Int, Int) => Unit): Unit = {
     val vert = index.ballVert
     val keys = index.keys
     def load(u: Int, clear: Boolean): Unit = {
@@ -235,7 +236,7 @@ final class HopScratch(g: LocalGraph) {
     var loaded = -1
     var e = from
     while (e < until) {
-      if (active == null || active.get(e)) {
+      if (active.get(e)) {
         val u = g.edgeSrc(e)
         if (u != loaded) {
           if (loaded >= 0) load(loaded, clear = true)
@@ -255,31 +256,13 @@ final class HopScratch(g: LocalGraph) {
           }
           j += 1
         }
-        f(e, n)
+        val nh = hIndexOfContribs(n, hval(e))
+        if (nh < hval(e)) lower(e, nh)
       }
       e += 1
     }
     if (loaded >= 0) load(loaded, clear = true)
   }
-
-  /** h-supports of the edges ``from until until`` into ``out``, from the
-    * index: each edge's number of common h-neighbours, whatever the stored
-    * keys (they are never negative).
-    */
-  def storeSupports(index: BallIndex, from: Int, until: Int, out: Array[Int]): Unit =
-    gatherStored(index, from, until, null)((e, n) => out(e) = n)
-
-  /** Edge phase of a synchronous round over the edges ``from until until``
-    * that ``active`` holds: [[computeHIndex]] of each edge ``e`` with cap
-    * ``hval(e)``, from the keys the vertex phase stored for its endpoints;
-    * calls ``lower(e, value)`` where the value is below the cap.
-    */
-  def storeHIndices(index: BallIndex, from: Int, until: Int, active: java.util.BitSet, hval: Array[Int])
-                   (lower: (Int, Int) => Unit): Unit =
-    gatherStored(index, from, until, active) { (e, n) =>
-      val nh = hIndexOfContribs(n, hval(e))
-      if (nh < hval(e)) lower(e, nh)
-    }
 
   /** Visit every vertex within ``depth`` hops of ``src`` (including ``src``)
     * over ``alive`` edges, applying ``f``. Used for peeling invalidation and

@@ -2,6 +2,7 @@ package repro.core
 
 import java.util.concurrent.{Callable, Executors}
 import java.util.concurrent.atomic.AtomicInteger
+import scala.collection.mutable.ArrayBuffer
 import scala.jdk.CollectionConverters._
 import repro.graph.LocalGraph
 
@@ -16,7 +17,9 @@ import repro.graph.LocalGraph
   *    [[BallIndex]] built once per decomposition: the vertex phase writes
   *    the maximin keys of every endpoint of an active edge, reading the
   *    order-(n-1) values, and the edge phase combines each edge's two key
-  *    vectors, so no snapshot of the values is taken.
+  *    vectors, so no snapshot of the values is taken. If the index would
+  *    take more than a quarter of the maximum heap, each edge rebuilds its
+  *    endpoints' keys instead and the round writes its values at its end.
   *  - '''Asyn''':   ``async = true`` — threads read the live shared key
   *    array, so later edges in a round see already-updated same-round values
   *    (Section 4.1 shows this preserves monotonicity and the fixpoint).
@@ -55,8 +58,18 @@ object LocalHIndexDecomposition {
   /** Edges or vertices a worker takes from the shared cursor at a time. */
   private val Slice = 16
 
-  /** Run the decomposition of graph ``g`` at hop threshold ``h``. */
-  def decompose(g: LocalGraph, h: Int, config: LocalHIndexConfig = LocalHIndexConfig()): LocalHIndexResult = {
+  /** Run the decomposition of graph ``g`` at hop threshold ``h``. A
+    * synchronous run builds its [[BallIndex]] only if it takes at most a
+    * quarter of the maximum heap.
+    */
+  def decompose(g: LocalGraph, h: Int, config: LocalHIndexConfig = LocalHIndexConfig()): LocalHIndexResult =
+    run(g, h, config, Runtime.getRuntime.maxMemory / 4)
+
+  /** [[decompose]] with at most ``storeBytes`` bytes for the ball index; a
+    * synchronous run whose index would be larger recomputes each edge's
+    * keys per edge, as an asynchronous run does.
+    */
+  private[core] def run(g: LocalGraph, h: Int, config: LocalHIndexConfig, storeBytes: Long): LocalHIndexResult = {
     require(h >= 1, s"need h >= 1, got $h")
     require(config.threads >= 1, s"need threads >= 1, got ${config.threads}")
     val m = g.m
@@ -100,7 +113,8 @@ object LocalHIndexDecomposition {
         }
 
       // Synchronous rounds share per-vertex keys through a ball index built
-      // once; its count and fill passes are two parallel BFS sweeps.
+      // once, if it fits in storeBytes; its count and fill passes are two
+      // parallel BFS sweeps.
       val index =
         if (config.async) null
         else {
@@ -111,16 +125,17 @@ object LocalHIndexDecomposition {
           while (k < shellOff.length) {
             val size = shellOff(k); shellOff(k) = total.toInt; total += size; k += 1
           }
-          require(total < Int.MaxValue, s"h-ball index of $total entries exceeds one array")
-          val idx = new BallIndex(h, shellOff, new Array[Int](total.toInt))
-          forAll(g.n)((t, v) => scratches(t).fillBall(v, idx))
-          idx
+          if (total >= Int.MaxValue || 8 * total + 4L * shellOff.length > storeBytes) null
+          else {
+            val idx = new BallIndex(h, shellOff, new Array[Int](total.toInt))
+            forAll(g.n)((t, v) => scratches(t).fillBall(v, idx))
+            idx
+          }
         }
 
       // Order-0 values: h-supports, computed in parallel (Alg. 2 lines 1-3).
       val hcur = new Array[Int](m)
-      if (index == null) forAll(m)((t, e) => hcur(e) = scratches(t).support(g.edgeSrc(e), g.edgeDst(e), h, null))
-      else forSlices(m)((t, from, until) => scratches(t).storeSupports(index, from, until, hcur))
+      forAll(m)((t, e) => hcur(e) = scratches(t).support(g.edgeSrc(e), g.edgeDst(e), h, null))
       val sup0 = hcur.clone()
 
       var active = new java.util.BitSet(m); active.set(0, m)
@@ -137,16 +152,22 @@ object LocalHIndexDecomposition {
           forAll(g.n)((t, v) => if (needed.get(v)) scratches(t).storeKeys(v, index, hcur))
         }
         // Per-thread change logs: (edge, oldValue) pairs for activation.
-        val logs = Array.fill(nThreads)(new scala.collection.mutable.ArrayBuffer[(Int, Int)]())
+        val logs = Array.fill(nThreads)(new ArrayBuffer[(Int, Int)]())
         def lower(t: Int, e: Int, nh: Int): Unit = { logs(t) += ((e, hcur(e))); hcur(e) = nh }
-        if (index == null) forAll(m) { (t, e) =>
-          if (active.get(e)) {
-            val nh = scratches(t).computeHIndex(e, h, hcur, hcur(e))
-            if (nh < hcur(e)) lower(t, e, nh)
-          }
-        }
-        else forSlices(m) { (t, from, until) =>
+        if (index != null) forSlices(m) { (t, from, until) =>
           scratches(t).storeHIndices(index, from, until, active, hcur)((e, nh) => lower(t, e, nh))
+        }
+        else {
+          // Per-edge kernel: an asynchronous round writes each value at
+          // once; a synchronous one holds its values back to the round's end.
+          val held = if (config.async) null else Array.fill(nThreads)(new ArrayBuffer[(Int, Int)]())
+          forAll(m) { (t, e) =>
+            if (active.get(e)) {
+              val nh = scratches(t).computeHIndex(e, h, hcur, hcur(e))
+              if (nh < hcur(e)) { if (held == null) lower(t, e, nh) else held(t) += ((e, nh)) }
+            }
+          }
+          if (held != null) for (t <- 0 until nThreads; (e, nh) <- held(t)) lower(t, e, nh)
         }
         val changed = logs.map(_.length).sum
         if (config.pruning) {

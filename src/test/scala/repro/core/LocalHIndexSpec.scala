@@ -118,6 +118,24 @@ class LocalHIndexSpec extends AnyFunSuite {
     assert(r1.rounds == r4.rounds && r4.rounds == r16.rounds)
   }
 
+  test("synchronous rounds without the ball index match the indexed rounds") {
+    for ((edges, h) <- Seq(
+        (TestGraphs.fig1Like, 3),
+        (GraphGen.chungLu(120, 300, 2.3, 77), 2),
+        (GraphGen.erdosRenyi(200, 400, 44), 3))) {
+      val g = LocalGraph.fromEdges(edges)
+      for (cfg <- Seq(LocalHIndexConfig(threads = 1), LocalHIndexConfig(threads = 4),
+                      LocalHIndexConfig(threads = 4, pruning = true));
+           maxRounds <- Seq(1, 2, cfg.maxRounds)) {
+        val c = cfg.copy(maxRounds = maxRounds)
+        val indexed = LocalHIndexDecomposition.decompose(g, h, c)
+        val perEdge = LocalHIndexDecomposition.run(g, h, c, storeBytes = 0)
+        assert(perEdge.trussness.toSeq == indexed.trussness.toSeq, s"h=$h $c")
+        assert(perEdge.rounds == indexed.rounds, s"h=$h $c")
+      }
+    }
+  }
+
   test("sequential async needs no more rounds than sync (Fig. 6 effect)") {
     for (seed <- 0 until 6) {
       val g = LocalGraph.fromEdges(GraphGen.smallWorld(80, 6, 0.15, 60 + seed))
