@@ -4,12 +4,12 @@ import org.apache.spark.sql.SparkSession
 import repro.core._
 import repro.graph.{DatasetSpec, Datasets, LocalGraph}
 
-/** Shared experiment harness behind both the ``jobs/`` spark-submit
-  * entrypoints and the ``bench/`` suites: runs each paper variant under a
-  * time budget (INF past budget, mirroring the paper's 4-day cutoff),
-  * collects times/round counts, and renders aligned ASCII tables whose rows
-  * match the paper's Table 1 and Figures 4–6 (figures rendered as tables;
-  * see EXPERIMENTS.md for the paper-vs-ours diff).
+/** Experiment harness behind ``repro.jobs.Reproduce``: runs each paper
+  * variant under a time budget (INF past budget, mirroring the paper's 4-day
+  * cutoff), collects times/round counts, renders aligned ASCII tables whose
+  * rows match the paper's Table 1 and Figures 4–6 (figures rendered as
+  * tables; see EXPERIMENTS.md for the paper-vs-ours diff), and checks each
+  * table against the paper's shape.
   */
 object Harness {
 
@@ -63,6 +63,31 @@ object Harness {
 
   // ---------------------------------------------------------------- tables
 
+  /** Evaluation table ``n`` (1 = Table 1; 2, 3, 4 = Figures 4, 5, 6 as
+    * tables) at hop thresholds ``hs``: the rendered table and the ways its
+    * rows break the paper's shape (empty when the shape holds). ``threads``
+    * is the largest thread count; only table 2 uses ``spark``.
+    */
+  def table(n: Int, hs: Seq[Int], threads: Int, budgetMs: Long,
+            spark: => SparkSession): (String, Seq[String]) = n match {
+    case 1 =>
+      (formatTable("Table 1: dataset statistics (paper vs synthetic analogue)",
+                   table1Header, table1Rows), Nil)
+    case 2 =>
+      val rows = efficiencyRows(Datasets.all, hs, threads, budgetMs, spark)
+      (formatTable(s"Figure 4 (as table): efficiency, threads=$threads, budget=${budgetMs}ms",
+                   efficiencyHeader, rows), efficiencyViolations(rows))
+    case 3 =>
+      val tc   = speedupThreads(threads)
+      val rows = speedupRows(Seq(Datasets.YT, Datasets.VL, Datasets.GA, Datasets.AM), hs, tc, budgetMs)
+      (formatTable(s"Figure 5 (as table): Paral speedup vs Single, budget=${budgetMs}ms",
+                   speedupHeader(tc), rows), speedupViolations(rows))
+    case 4 =>
+      val rows = asyncRows(Datasets.all, hs, threads, budgetMs)
+      (formatTable(s"Figure 6 (as table): rounds to convergence, threads=$threads, budget=${budgetMs}ms",
+                   asyncHeader, rows), asyncViolations(rows))
+  }
+
   /** Render an aligned ASCII table. */
   def formatTable(title: String, header: Seq[String], rows: Seq[Seq[String]]): String = {
     val all    = header +: rows
@@ -84,26 +109,25 @@ object Harness {
   val table1Header: Seq[String] =
     Seq("code", "dataset", "paper |V|", "paper |E|", "ours |V|", "ours |E|", "scale")
 
-  /** Figure-4-as-table rows: response time of Base / Paral / Paral+ (local
-    * engine, paper's shared-memory setting) and of the Spark dataflow
-    * engine's Paral / Paral+ where enabled.
-    */
   /** Spark-engine cells get a larger budget: one BSP round costs far more
     * fixed overhead than a shared-memory sweep, and the Fig. 4 comparison
     * point is the algorithmic shape, not the per-round constant.
     */
   val SparkBudgetFactor = 8L
 
+  /** Figure-4-as-table rows: response time of Base / Paral / Paral+ (local
+    * engine, paper's shared-memory setting) and of the Spark dataflow
+    * engine's Paral / Paral+, which run on YT at the smallest ``h`` only.
+    */
   def efficiencyRows(datasets: Seq[DatasetSpec], hs: Seq[Int], threads: Int,
-                     budgetMs: Long, sparkFor: (DatasetSpec, Int) => Boolean,
-                     spark: => SparkSession): Seq[Seq[String]] =
+                     budgetMs: Long, spark: => SparkSession): Seq[Seq[String]] =
     for (ds <- datasets; h <- hs) yield {
       val g      = ds.localGraph
       val base   = runBase(g, h, budgetMs)
       val paral  = runLocal(g, h, threads, async = false, pruning = false, budgetMs)
       val paralP = runLocal(g, h, threads, async = true, pruning = true, budgetMs)
       val (sp, spp) =
-        if (sparkFor(ds, h)) {
+        if (ds.code == "YT" && h == hs.min) {
           val b  = budgetMs * SparkBudgetFactor
           val s1 = runSpark(spark, ds, h, SparkHIndexDecomposition.Sync, b)
           val s2 = runSpark(spark, ds, h, SparkHIndexDecomposition.Pruned, b)
@@ -114,6 +138,15 @@ object Harness {
 
   val efficiencyHeader: Seq[String] =
     Seq("dataset", "h", "Base ms", "Paral ms", "Paral+ ms", "Spark-Paral ms", "Spark-Paral+ ms")
+
+  /** Figure 4's shape check: Paral+ never hits INF where Base finished. */
+  def efficiencyViolations(rows: Seq[Seq[String]]): Seq[String] =
+    rows.collect { case r if r(4) == "INF" && r(2) != "INF" =>
+      s"${r(0)} h=${r(1)}: Paral+ INF while Base finished" }
+
+  /** Figure 5's thread counts: 1, 2, 4, 8, 16 up to ``cores``, then ``cores``. */
+  def speedupThreads(cores: Int): Seq[Int] =
+    (Seq(1, 2, 4, 8, 16).filter(_ <= cores) :+ cores).distinct
 
   /** Figure-5-as-table rows: Paral time and speedup vs Single (threads=1)
     * across thread counts.
@@ -138,6 +171,13 @@ object Harness {
   def speedupHeader(threadCounts: Seq[Int]): Seq[String] =
     Seq("dataset", "h") ++ threadCounts.flatMap(t => Seq(s"t=$t ms", s"t=$t x"))
 
+  /** Figure 5's shape check: some row's speedup at the largest thread count
+    * is above 1.
+    */
+  def speedupViolations(rows: Seq[Seq[String]]): Seq[String] =
+    if (rows.exists(r => r.last != "-" && r.last.toDouble > 1.0)) Nil
+    else Seq("no configuration showed parallel speedup")
+
   /** Figure-6-as-table rows: rounds to convergence, Paral vs Asyn, on the
     * local engine (BSP has no shared-memory asynchrony to measure).
     */
@@ -151,6 +191,18 @@ object Harness {
     }
 
   val asyncHeader: Seq[String] = Seq("dataset", "h", "Paral rounds", "Asyn rounds")
+
+  /** Figure 6's shape check, over the rows where both variants finished:
+    * Asyn needs at most one round more than Paral on every row, and fewer
+    * on some row.
+    */
+  def asyncViolations(rows: Seq[Seq[String]]): Seq[String] = {
+    val finished = rows.filter(r => r(2) != "-" && r(3) != "-")
+    val worse = finished.collect { case r if r(3).toInt > r(2).toInt + 1 =>
+      s"${r(0)} h=${r(1)}: Asyn took ${r(3)} rounds, Paral ${r(2)}" }
+    if (finished.exists(r => r(3).toInt < r(2).toInt)) worse
+    else worse :+ "Asyn never took fewer rounds than Paral"
+  }
 
   /** One small decomposition per engine to JIT-warm hot paths before
     * measuring (the paper averages 10 runs; we warm up and run once).

@@ -46,12 +46,11 @@ final case class LocalHIndexConfig(
     deadlineNanos: Long = Long.MaxValue,
 )
 
-/** Result of a decomposition run: per-edge h-trussness (CSR edge order),
+/** Result of a decomposition run: per-edge h-trussness (CSR edge order) and
   * the number of full sweeps until convergence (the paper's Fig. 6 metric;
-  * includes the final no-change sweep for the unpruned variants), and the
-  * initial h-supports (order-0 values + 2 would be the support upper bound).
+  * includes the final no-change sweep for the unpruned variants).
   */
-final case class LocalHIndexResult(trussness: Array[Int], rounds: Int, initialSupport: Array[Int])
+final case class LocalHIndexResult(trussness: Array[Int], rounds: Int)
 
 object LocalHIndexDecomposition {
 
@@ -73,7 +72,7 @@ object LocalHIndexDecomposition {
     require(h >= 1, s"need h >= 1, got $h")
     require(config.threads >= 1, s"need threads >= 1, got ${config.threads}")
     val m = g.m
-    if (m == 0) return LocalHIndexResult(new Array[Int](0), 0, new Array[Int](0))
+    if (m == 0) return LocalHIndexResult(new Array[Int](0), 0)
 
     val nThreads = math.min(config.threads, m)
     val pool     = Executors.newFixedThreadPool(nThreads)
@@ -136,7 +135,6 @@ object LocalHIndexDecomposition {
       // Order-0 values: h-supports, computed in parallel (Alg. 2 lines 1-3).
       val hcur = new Array[Int](m)
       forAll(m)((t, e) => hcur(e) = scratches(t).support(g.edgeSrc(e), g.edgeDst(e), h, null))
-      val sup0 = hcur.clone()
 
       var active = new java.util.BitSet(m); active.set(0, m)
       var rounds = 0
@@ -220,7 +218,7 @@ object LocalHIndexDecomposition {
           done = changed == 0
         }
       }
-      LocalHIndexResult(hcur.map(_ + 2), rounds, sup0)
+      LocalHIndexResult(hcur.map(_ + 2), rounds)
     } finally pool.shutdown()
   }
 }

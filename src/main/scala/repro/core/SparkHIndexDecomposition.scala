@@ -57,19 +57,6 @@ object SparkHIndexDecomposition {
   def decompose(edges: DataFrame, h: Int, mode: Mode = Sync, maxRounds: Int = 10000,
                 deadlineNanos: Long = Long.MaxValue): Result = {
     require(h >= 1, s"need h >= 1, got $h")
-    val spark = edges.sparkSession
-    // The per-round relations are small; fewer shuffle partitions cut
-    // scheduling and planning overhead across the many fixpoint rounds.
-    // Restored on exit.
-    val prevShuffle = spark.conf.get("spark.sql.shuffle.partitions")
-    spark.conf.set("spark.sql.shuffle.partitions",
-                   math.max(4, spark.sparkContext.defaultParallelism / 2))
-    try decomposeImpl(edges, h, mode == Pruned, maxRounds, deadlineNanos)
-    finally spark.conf.set("spark.sql.shuffle.partitions", prevShuffle)
-  }
-
-  private def decomposeImpl(edges: DataFrame, h: Int, pruned: Boolean, maxRounds: Int,
-                            deadlineNanos: Long): Result = {
 
     // Static tables are eagerly localCheckpoint-ed (not just persisted): a
     // checkpoint truncates the logical plan to a flat RDD scan, so the many
@@ -117,7 +104,7 @@ object SparkHIndexDecomposition {
         .select(col("eid"), col("src"), col("dst"), col("hval") as "hold", col("hnext") as "hnew")
       hdf  = next.select(col("eid"), col("src"), col("dst"), col("hnext") as "hval")
       done = changed.count() == 0
-      if (pruned && !done) {
+      if (mode == Pruned && !done) {
         active = activate(changed, pairsHm1, adj, hdf).localCheckpoint().toDF("eid")
         done = active.count() == 0
       }
