@@ -3,38 +3,59 @@ package repro.core
 import repro.graph.LocalGraph
 
 /** Static h-ball index of a [[LocalGraph]] plus one maximin key per entry:
-  * the store a synchronous round of the local engine shares between its two
-  * phases (see [[HopScratch]]).
+  * the per-vertex key store every round of the local engine shares (see
+  * [[HopScratch]]). The engine builds it once per decomposition, in every
+  * mode, when it fits its memory cap.
   *
   * ``shellOff(v * (h + 1) + k)``, ``k = 0 .. h``, is the start in
   * ``ballVert`` of the vertices at distance exactly ``k`` from ``v`` (shell
   * 0 is ``v`` itself), so ``ballVert(start(v) until end(v))`` is
-  * ``ball_h(v)`` in BFS order. ``keys(j)`` is the maximin key from ``v`` to
-  * ``ballVert(j)``, written by the vertex phase. Both arrays hold
-  * ``n + Σ|ball_h(v)|`` ints, 8 bytes per ball entry in all.
+  * ``ball_h(v)`` in BFS order and ``ballVert(start(v) until nearEnd(v))``
+  * is ``ball_{h-1}(v)``. ``keys(j)`` is the maximin key from ``v`` to
+  * ``ballVert(j)``. Both arrays hold ``n + Σ|ball_h(v)|`` ints, 8 bytes per
+  * ball entry in all.
+  *
+  * Freshness: ``v``'s keys depend only on the values of edges with an
+  * endpoint within ``h - 1`` hops of ``v``. ``touched(v)`` is the last round
+  * at whose end such an edge was found changed (0 = none) and
+  * ``written(v)`` the last round in which ``v``'s keys were written (0 =
+  * never), so the keys may be stale exactly when [[stale]] holds. Rounds
+  * count from 1.
   */
 final class BallIndex(val h: Int, val shellOff: Array[Int], val ballVert: Array[Int]) {
   val keys = new Array[Int](ballVert.length)
 
-  def start(v: Int): Int = shellOff(v * (h + 1))
-  def end(v: Int): Int   = shellOff((v + 1) * (h + 1))
+  private val n = (shellOff.length - 1) / (h + 1)
+  val touched = new Array[Int](n)
+  val written = new java.util.concurrent.atomic.AtomicIntegerArray(n)
+
+  def start(v: Int): Int   = shellOff(v * (h + 1))
+  def nearEnd(v: Int): Int = shellOff(v * (h + 1) + h)
+  def end(v: Int): Int     = shellOff((v + 1) * (h + 1))
+
+  /** Whether ``v``'s stored keys may differ from keys built from the
+    * current values.
+    */
+  def stale(v: Int): Boolean = touched(v) >= written.get(v)
 }
 
 /** Per-thread scratch workspace for h-hop computations on a [[LocalGraph]].
   *
   * Holds reusable stamped arrays for two simultaneous BFS frontiers (one per
-  * edge endpoint), the hop-bounded maximin ("widest path") DP buffers of
-  * Algorithm 3, and the contributions and counting buffers of the H-index
-  * aggregation — all allocation-free in steady state. One instance per
-  * worker thread; instances must not be shared across threads.
+  * edge endpoint), two pairs of hop-bounded maximin ("widest path") DP
+  * buffers of Algorithm 3, and the contributions and counting buffers of
+  * the H-index aggregation — all allocation-free in steady state. One
+  * instance per worker thread; instances must not be shared across threads.
   *
   * Algorithm 3's order-n value of ``e = (u, v)`` depends only on the
-  * maximin keys of ``u`` and ``v``. A synchronous round therefore runs in
-  * two phases over a [[BallIndex]]: [[storeKeys]] writes each needed
-  * vertex's keys once, and [[storeHIndices]] combines the stored keys of
-  * each edge's endpoints. Asynchronous rounds read live values, so they
-  * use the per-edge [[computeHIndex]], which rebuilds both endpoints' keys;
-  * so do synchronous rounds whose index would not fit in the heap.
+  * maximin keys of ``u`` and ``v``, so every round runs over a
+  * [[BallIndex]] that stores each vertex's keys: [[storeKeys]] rewrites one
+  * vertex's keys and [[storeHIndices]] combines the keys of each edge's
+  * endpoints. A synchronous round first rewrites the stale keys it needs,
+  * then combines stored keys. An asynchronous round rebuilds each source's
+  * keys from the live values and rewrites a stale destination's keys on
+  * first use. The per-edge [[computeHIndex]], which rebuilds both
+  * endpoints' keys, serves the runs whose index would not fit in memory.
   *
   * Both maximin DPs make ``h`` sweeps, and sweep ``d`` relaxes only the
   * BFS-order prefix at distance ``<= d + 1``, pushing from the prefix at
@@ -52,6 +73,8 @@ final class HopScratch(g: LocalGraph) {
   private val distV  = new Array[Int](g.n)
   private val orderV = new Array[Int](g.n)
 
+  // The U pair holds an edge phase's source keys; the V pair builds the
+  // keys stored for any other vertex.
   private val keyU1 = noKeys()
   private val keyU2 = noKeys()
   private val keyV1 = noKeys()
@@ -59,6 +82,8 @@ final class HopScratch(g: LocalGraph) {
 
   // Per-edge DP: ends of the BFS-order prefixes at distance 0 .. h.
   private var ends = new Array[Int](4)
+  // Ball size found by the last bfsKeys.
+  private var ballCount = 0
 
   private var contrib = new Array[Int](64)
   private var counts  = new Array[Int](65)
@@ -84,6 +109,38 @@ final class HopScratch(g: LocalGraph) {
       i += 1
     }
     count
+  }
+
+  /** Order-0 values from the index: ``hval(e)`` is set to the h-support of
+    * each edge ``e`` in ``from until until``. ``ball(u)`` is marked once per
+    * run of edges with source ``u``; each edge then counts the marked
+    * vertices of ``ball(v)`` other than ``u`` and ``v``.
+    */
+  def storeSupports(index: BallIndex, from: Int, until: Int, hval: Array[Int]): Unit = {
+    val vert   = index.ballVert
+    var marked = -1
+    var t      = 0
+    var e = from
+    while (e < until) {
+      val u = g.edgeSrc(e)
+      if (u != marked) {
+        t = nextToken()
+        var j = index.start(u)
+        val end = index.end(u)
+        while (j < end) { stampU(vert(j)) = t; j += 1 }
+        marked = u
+      }
+      var count = 0
+      var j = index.start(g.edgeDst(e)) + 1
+      val end = index.end(g.edgeDst(e))
+      while (j < end) {
+        val w = vert(j)
+        if (w != u && stampU(w) == t) count += 1
+        j += 1
+      }
+      hval(e) = count
+      e += 1
+    }
   }
 
   /** Hop-bounded maximin path keys (Algorithm 3's BFS/DP) from the root
@@ -135,10 +192,11 @@ final class HopScratch(g: LocalGraph) {
   }
 
   /** BFS from ``src`` into ``order``/``dist``, then the maximin DP over
-    * that ball; returns the key buffer and the ball size.
+    * that ball; returns the key buffer and leaves the ball size in
+    * ``ballCount``.
     */
   private def bfsKeys(src: Int, h: Int, hval: Array[Int], stamp: Array[Int], dist: Array[Int],
-                      order: Array[Int], key1: Array[Int], key2: Array[Int]): (Array[Int], Int) = {
+                      order: Array[Int], key1: Array[Int], key2: Array[Int]): Array[Int] = {
     val cnt = g.bfs(src, h, null, stamp, nextToken(), dist, order)
     if (ends.length <= h) ends = new Array[Int](h + 1)
     var j = 0
@@ -148,7 +206,8 @@ final class HopScratch(g: LocalGraph) {
       ends(d) = j
       d += 1
     }
-    (maximinKeys(order, 0, ends, 0, h, hval, key1, key2), cnt)
+    ballCount = cnt
+    maximinKeys(order, 0, ends, 0, h, hval, key1, key2)
   }
 
   private def hIndexOfContribs(n: Int, cap: Int): Int = {
@@ -168,8 +227,10 @@ final class HopScratch(g: LocalGraph) {
   def computeHIndex(e: Int, h: Int, hval: Array[Int], cap: Int): Int = {
     val u = g.edgeSrc(e)
     val v = g.edgeDst(e)
-    val (keyU, cntU) = bfsKeys(u, h, hval, stampU, distU, orderU, keyU1, keyU2)
-    val (keyV, cntV) = bfsKeys(v, h, hval, stampV, distV, orderV, keyV1, keyV2)
+    val keyU = bfsKeys(u, h, hval, stampU, distU, orderU, keyU1, keyU2)
+    val cntU = ballCount
+    val keyV = bfsKeys(v, h, hval, stampV, distV, orderV, keyV1, keyV2)
+    val cntV = ballCount
     var nContrib = 0
     var i = 0
     while (i < cntU) {
@@ -204,51 +265,71 @@ final class HopScratch(g: LocalGraph) {
     System.arraycopy(orderU, 0, index.ballVert, index.start(v), cnt)
   }
 
-  /** Vertex phase of a synchronous round: writes ``v``'s maximin keys over
-    * the current values ``hval`` into ``index.keys``.
+  /** Maximin keys of ``v`` over ``hval``, built in ``key1``/``key2``
+    * (which the caller resets) and written into ``index.keys``; records
+    * ``v`` as written in ``round``.
     */
-  def storeKeys(v: Int, index: BallIndex, hval: Array[Int]): Unit = {
+  private def buildKeys(v: Int, index: BallIndex, hval: Array[Int], round: Int,
+                        key1: Array[Int], key2: Array[Int]): Array[Int] = {
+    val vert = index.ballVert
     val from = index.start(v)
     val end  = index.end(v)
-    val key  = maximinKeys(index.ballVert, from, index.shellOff, v * (index.h + 1) + 1, index.h,
-                           hval, keyU1, keyU2)
+    val key  = maximinKeys(vert, from, index.shellOff, v * (index.h + 1) + 1, index.h, hval, key1, key2)
     var j = from
-    while (j < end) { index.keys(j) = key(index.ballVert(j)); j += 1 }
-    resetKeys(index.ballVert, from, end, keyU1, keyU2)
+    while (j < end) { index.keys(j) = key(vert(j)); j += 1 }
+    index.written.set(v, round)
+    key
   }
 
-  /** Edge phase of a synchronous round over the edges ``from until until``
-    * that ``active`` holds: [[computeHIndex]] of each edge ``e = (u, v)``
-    * with cap ``hval(e)``, from the keys the vertex phase stored for its
-    * endpoints; calls ``lower(e, value)`` where the value is below the cap.
-    * Edges are sorted by source, so ``u``'s keys are loaded into a dense
-    * buffer once per run of its edges; each edge then scans ``ball(v)``.
+  /** Rewrites ``v``'s stored keys from the values ``hval`` in ``round``. */
+  def storeKeys(v: Int, index: BallIndex, hval: Array[Int], round: Int): Unit = {
+    buildKeys(v, index, hval, round, keyV1, keyV2)
+    resetKeys(index.ballVert, index.start(v), index.end(v), keyV1, keyV2)
+  }
+
+  /** Edge phase of round ``round`` over the edges ``from until until`` that
+    * ``active`` holds: [[computeHIndex]] of each edge ``e = (u, v)`` with cap
+    * ``hval(e)``, from the keys of its endpoints; calls ``lower(e, value)``
+    * where the value is below the cap. Edges are sorted by source, so
+    * ``u``'s keys are put in a dense buffer once per run of its edges; each
+    * edge then scans ``v``'s stored keys.
+    *
+    * A synchronous round (``live = false``) loads ``u``'s keys from the
+    * store, where its vertex phase left them fresh. An asynchronous round
+    * (``live = true``) rebuilds them from the live values and stores them,
+    * and rewrites ``v``'s stored keys first if they are [[BallIndex.stale]].
+    * Other threads may be rewriting the keys it reads; since values only
+    * fall, every key read is at least the key of the current values.
     */
-  def storeHIndices(index: BallIndex, from: Int, until: Int, active: java.util.BitSet, hval: Array[Int])
-                   (lower: (Int, Int) => Unit): Unit = {
+  def storeHIndices(index: BallIndex, from: Int, until: Int, active: java.util.BitSet, hval: Array[Int],
+                    round: Int, live: Boolean, lower: (Int, Int) => Unit): Unit = {
     val vert = index.ballVert
     val keys = index.keys
-    def load(u: Int, clear: Boolean): Unit = {
-      var j = index.start(u)
-      val end = index.end(u)
-      while (j < end) { keyU1(vert(j)) = if (clear) -1 else keys(j); j += 1 }
-    }
+    var keyU   = keyU1
     var loaded = -1
     var e = from
     while (e < until) {
       if (active.get(e)) {
         val u = g.edgeSrc(e)
         if (u != loaded) {
-          if (loaded >= 0) load(loaded, clear = true)
-          load(u, clear = false)
+          if (loaded >= 0) resetKeys(vert, index.start(loaded), index.end(loaded), keyU1, keyU2)
+          if (live) keyU = buildKeys(u, index, hval, round, keyU1, keyU2)
+          else {
+            var j = index.start(u)
+            val end = index.end(u)
+            while (j < end) { keyU1(vert(j)) = keys(j); j += 1 }
+            keyU = keyU1
+          }
           loaded = u
         }
+        val v = g.edgeDst(e)
+        if (live && index.stale(v)) storeKeys(v, index, hval, round)
         var n = 0
-        var j = index.start(g.edgeDst(e)) + 1
-        val end = index.end(g.edgeDst(e))
+        var j = index.start(v) + 1
+        val end = index.end(v)
         while (j < end) {
           val w  = vert(j)
-          val ku = keyU1(w)
+          val ku = keyU(w)
           if (ku >= 0 && w != u) {
             val kv = keys(j)
             addContrib(n, if (ku < kv) ku else kv)
@@ -261,12 +342,42 @@ final class HopScratch(g: LocalGraph) {
       }
       e += 1
     }
-    if (loaded >= 0) load(loaded, clear = true)
+    if (loaded >= 0) resetKeys(vert, index.start(loaded), index.end(loaded), keyU1, keyU2)
+  }
+
+  /** End-of-round walk from ``root``, an endpoint of edges changed in
+    * ``round`` from at most ``old`` to at least ``nw``, over the vertices
+    * ``z`` within ``h - 1`` hops of it: read from ``index`` when it is given,
+    * which marks them ``index.touched(z) = round``, else found by BFS. When
+    * ``next`` is given, it also receives each edge ``f`` at such a ``z``
+    * with ``nw < hval(f) <= old`` (Lemma-4 activation).
+    */
+  def walk(root: Int, h: Int, index: BallIndex, round: Int, hval: Array[Int], old: Int, nw: Int,
+           next: java.util.BitSet): Unit = {
+    var ball  = orderU
+    var from  = 0
+    var until = 0
+    if (index != null) { ball = index.ballVert; from = index.start(root); until = index.nearEnd(root) }
+    else until = g.bfs(root, h - 1, null, stampU, nextToken(), distU, orderU)
+    var j = from
+    while (j < until) {
+      val z = ball(j)
+      if (index != null) index.touched(z) = round
+      if (next != null) {
+        var i = g.offsets(z)
+        val end = g.offsets(z + 1)
+        while (i < end) {
+          val f = g.adjEdge(i)
+          if (nw < hval(f) && hval(f) <= old) next.set(f)
+          i += 1
+        }
+      }
+      j += 1
+    }
   }
 
   /** Visit every vertex within ``depth`` hops of ``src`` (including ``src``)
-    * over ``alive`` edges, applying ``f``. Used for peeling invalidation and
-    * Lemma-4 activation.
+    * over ``alive`` edges, applying ``f``. Used for peeling invalidation.
     */
   def forEachBallVertex(src: Int, depth: Int, alive: java.util.BitSet)(f: Int => Unit): Unit = {
     val t   = nextToken()

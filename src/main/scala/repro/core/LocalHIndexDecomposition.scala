@@ -2,37 +2,45 @@ package repro.core
 
 import java.util.concurrent.{Callable, Executors}
 import java.util.concurrent.atomic.AtomicInteger
-import scala.collection.mutable.ArrayBuffer
 import scala.jdk.CollectionConverters._
 import repro.graph.LocalGraph
 
 /** Shared-memory parallel H-index decomposition engine (Algorithms 2–3 with
   * the Section 4.3 optimizations), mirroring the paper's OpenMP setting.
   *
+  * Every round runs over a [[BallIndex]] built once per decomposition,
+  * which stores each vertex's maximin keys; a round rewrites only the keys
+  * it needs that are stale. After each round, a walk from the endpoints of
+  * the changed edges marks stale the keys those changes enter (the vertices
+  * within h-1 hops of them). If the index would take more than a quarter of
+  * the maximum heap, each edge rebuilds both endpoints' keys instead.
+  *
   * Variants, selected by [[LocalHIndexConfig]]:
   *  - '''Single''': ``threads = 1, async = false, pruning = false``
   *  - '''Paral''':  ``threads = T, async = false, pruning = false`` —
   *    synchronous rounds; every edge's order-n value is computed from the
-  *    order-(n-1) values. A synchronous round is two parallel phases over a
-  *    [[BallIndex]] built once per decomposition: the vertex phase writes
-  *    the maximin keys of every endpoint of an active edge, reading the
-  *    order-(n-1) values, and the edge phase combines each edge's two key
-  *    vectors, so no snapshot of the values is taken. If the index would
-  *    take more than a quarter of the maximum heap, each edge rebuilds its
-  *    endpoints' keys instead and the round writes its values at its end.
-  *  - '''Asyn''':   ``async = true`` — threads read the live shared key
+  *    order-(n-1) values. A synchronous round is two parallel phases: the
+  *    vertex phase rewrites the stale keys of every endpoint of an active
+  *    edge, reading the order-(n-1) values, and the edge phase combines
+  *    each edge's two stored key vectors, so no snapshot of the values is
+  *    taken. Without the index, the round writes its values at its end.
+  *  - '''Asyn''':   ``async = true`` — threads read the live shared value
   *    array, so later edges in a round see already-updated same-round values
-  *    (Section 4.1 shows this preserves monotonicity and the fixpoint).
+  *    (Section 4.1 shows this preserves monotonicity and the fixpoint). The
+  *    worker rebuilds each source's keys from the live values and rewrites
+  *    a destination's stored keys on first use if they are stale; stale
+  *    keys only ever lag behind changes made within the same round.
   *  - '''Paral+''': ``async = true, pruning = true`` — additionally skips
   *    edges none of whose dependencies changed in a way that can lower their
   *    value (Lemma 4: a drop of e' from old to new affects H(e) only when
-  *    ``new < H(e) <= old``). With ``async = false`` the pruned rounds are
-  *    synchronous, and their vertex phase covers only the endpoints of the
-  *    active edges.
+  *    ``new < H(e) <= old``). The end-of-round walk activates those edges.
+  *    With ``async = false`` the pruned rounds are synchronous, and their
+  *    vertex phase covers only the endpoints of the active edges.
   *
-  * Every parallel loop hands out fixed-size slices of edges or vertices
-  * from a shared cursor. The maximin DPs sweep only the BFS-order prefix
-  * that can hold a key yet (see [[HopScratch]]).
+  * Every parallel loop, the walk included, hands out fixed-size slices of
+  * edges, vertices or walk roots from a shared cursor. The maximin DPs
+  * sweep only the BFS-order prefix that can hold a key yet (see
+  * [[HopScratch]]).
   *
   * Determinism: the final trussness vector is the unique fixpoint and is
   * identical across variants and thread counts; only the round count of the
@@ -54,19 +62,38 @@ final case class LocalHIndexResult(trussness: Array[Int], rounds: Int)
 
 object LocalHIndexDecomposition {
 
-  /** Edges or vertices a worker takes from the shared cursor at a time. */
+  /** Edges, vertices or roots a worker takes from the shared cursor at a time. */
   private val Slice = 16
 
-  /** Run the decomposition of graph ``g`` at hop threshold ``h``. A
-    * synchronous run builds its [[BallIndex]] only if it takes at most a
-    * quarter of the maximum heap.
+  /** Body of a parallel loop over one slice, ``apply(thread, from, until)``:
+    * a class rather than a ``Function3``, whose ``Int`` arguments are boxed.
+    */
+  private abstract class SliceBody { def apply(t: Int, from: Int, until: Int): Unit }
+
+  /** Growable list of (edge, value) pairs, reused across rounds. */
+  private final class EdgeLog {
+    var edges  = new Array[Int](64)
+    var values = new Array[Int](64)
+    var size   = 0
+
+    def add(e: Int, x: Int): Unit = {
+      if (size == edges.length) {
+        edges = java.util.Arrays.copyOf(edges, 2 * size)
+        values = java.util.Arrays.copyOf(values, 2 * size)
+      }
+      edges(size) = e; values(size) = x; size += 1
+    }
+  }
+
+  /** Run the decomposition of graph ``g`` at hop threshold ``h``. The run
+    * builds its [[BallIndex]] only if it takes at most a quarter of the
+    * maximum heap.
     */
   def decompose(g: LocalGraph, h: Int, config: LocalHIndexConfig = LocalHIndexConfig()): LocalHIndexResult =
     run(g, h, config, Runtime.getRuntime.maxMemory / 4)
 
   /** [[decompose]] with at most ``storeBytes`` bytes for the ball index; a
-    * synchronous run whose index would be larger recomputes each edge's
-    * keys per edge, as an asynchronous run does.
+    * run whose index would be larger recomputes each edge's keys per edge.
     */
   private[core] def run(g: LocalGraph, h: Int, config: LocalHIndexConfig, storeBytes: Long): LocalHIndexResult = {
     require(h >= 1, s"need h >= 1, got $h")
@@ -82,7 +109,7 @@ object LocalHIndexDecomposition {
       // Runs body(thread, from, until) over slices covering 0 until count.
       // Threads take fixed-size slices from a shared cursor, so a thread
       // that drew cheap edges or vertices takes more of them.
-      def forSlices(count: Int)(body: (Int, Int, Int) => Unit): Unit = {
+      def forSlices(count: Int)(body: SliceBody): Unit = {
         val cursor = new AtomicInteger(0)
         val tasks = (0 until nThreads).map { t =>
           new Callable[Unit] {
@@ -111,109 +138,132 @@ object LocalHIndexDecomposition {
           while (i < until) { body(t, i); i += 1 }
         }
 
-      // Synchronous rounds share per-vertex keys through a ball index built
-      // once, if it fits in storeBytes; its count and fill passes are two
-      // parallel BFS sweeps.
-      val index =
-        if (config.async) null
-        else {
-          val shellOff = new Array[Int](g.n * (h + 1) + 1)
-          forAll(g.n)((t, v) => scratches(t).countShells(v, h, shellOff))
-          var total = 0L
-          var k = 0
-          while (k < shellOff.length) {
-            val size = shellOff(k); shellOff(k) = total.toInt; total += size; k += 1
-          }
-          if (total >= Int.MaxValue || 8 * total + 4L * shellOff.length > storeBytes) null
-          else {
-            val idx = new BallIndex(h, shellOff, new Array[Int](total.toInt))
-            forAll(g.n)((t, v) => scratches(t).fillBall(v, idx))
-            idx
-          }
+      // Every round shares per-vertex keys through a ball index built once,
+      // if it fits in storeBytes; its count and fill passes are two parallel
+      // BFS sweeps.
+      val index = {
+        val shellOff = new Array[Int](g.n * (h + 1) + 1)
+        forAll(g.n)((t, v) => scratches(t).countShells(v, h, shellOff))
+        var total = 0L
+        var k = 0
+        while (k < shellOff.length) {
+          val size = shellOff(k); shellOff(k) = total.toInt; total += size; k += 1
         }
+        if (total >= Int.MaxValue || 8 * total + 4L * shellOff.length + 8L * g.n > storeBytes) null
+        else {
+          val idx = new BallIndex(h, shellOff, new Array[Int](total.toInt))
+          forAll(g.n)((t, v) => scratches(t).fillBall(v, idx))
+          idx
+        }
+      }
 
       // Order-0 values: h-supports, computed in parallel (Alg. 2 lines 1-3).
       val hcur = new Array[Int](m)
-      forAll(m)((t, e) => hcur(e) = scratches(t).support(g.edgeSrc(e), g.edgeDst(e), h, null))
+      if (index != null) forSlices(m)((t, from, until) => scratches(t).storeSupports(index, from, until, hcur))
+      else forAll(m)((t, e) => hcur(e) = scratches(t).support(g.edgeSrc(e), g.edgeDst(e), h, null))
 
-      var active = new java.util.BitSet(m); active.set(0, m)
+      // Per-thread state, reused across rounds: the change log of (edge,
+      // old value) pairs, the new values a synchronous round without index
+      // holds back, the edges the thread's share of the Lemma-4 walk
+      // activates, and the callback that lowers a value.
+      val logs   = Array.fill(nThreads)(new EdgeLog)
+      val held   = Array.fill(nThreads)(new EdgeLog)
+      val nexts  = Array.fill(nThreads)(new java.util.BitSet(m))
+      val lowers = Array.tabulate[(Int, Int) => Unit](nThreads) { t =>
+        (e, nh) => { logs(t).add(e, hcur(e)); hcur(e) = nh }
+      }
+      // Per-round vertex sets, reused: endpoints of active edges; roots of
+      // the end-of-round walk with their merged drops.
+      val needed  = new java.util.BitSet(g.n)
+      val rootSet = new java.util.BitSet(g.n)
+      val roots   = new Array[Int](g.n)
+      val oldMax  = new Array[Int](g.n)
+      val newMin  = new Array[Int](g.n)
+
+      val active = new java.util.BitSet(m); active.set(0, m)
       var rounds = 0
       var done   = false
       while (!done && rounds < config.maxRounds) {
         rounds += 1
+        val round = rounds
+        logs.foreach(_.size = 0)
         if (index != null) {
-          // Vertex phase: the keys of every endpoint of an active edge, from
-          // the previous round's values; the edge phase below only reads them.
-          val needed = new java.util.BitSet(g.n)
-          var e = active.nextSetBit(0)
-          while (e >= 0) { needed.set(g.edgeSrc(e)); needed.set(g.edgeDst(e)); e = active.nextSetBit(e + 1) }
-          forAll(g.n)((t, v) => if (needed.get(v)) scratches(t).storeKeys(v, index, hcur))
-        }
-        // Per-thread change logs: (edge, oldValue) pairs for activation.
-        val logs = Array.fill(nThreads)(new ArrayBuffer[(Int, Int)]())
-        def lower(t: Int, e: Int, nh: Int): Unit = { logs(t) += ((e, hcur(e))); hcur(e) = nh }
-        if (index != null) forSlices(m) { (t, from, until) =>
-          scratches(t).storeHIndices(index, from, until, active, hcur)((e, nh) => lower(t, e, nh))
-        }
-        else {
+          if (!config.async) {
+            // Vertex phase: rewrite the stale keys of every endpoint of an
+            // active edge from the previous round's values; the edge phase
+            // below only reads them.
+            needed.clear()
+            var e = active.nextSetBit(0)
+            while (e >= 0) { needed.set(g.edgeSrc(e)); needed.set(g.edgeDst(e)); e = active.nextSetBit(e + 1) }
+            forAll(g.n)((t, v) => if (needed.get(v) && index.stale(v)) scratches(t).storeKeys(v, index, hcur, round))
+          }
+          forSlices(m) { (t, from, until) =>
+            scratches(t).storeHIndices(index, from, until, active, hcur, round, config.async, lowers(t))
+          }
+        } else {
           // Per-edge kernel: an asynchronous round writes each value at
           // once; a synchronous one holds its values back to the round's end.
-          val held = if (config.async) null else Array.fill(nThreads)(new ArrayBuffer[(Int, Int)]())
           forAll(m) { (t, e) =>
             if (active.get(e)) {
               val nh = scratches(t).computeHIndex(e, h, hcur, hcur(e))
-              if (nh < hcur(e)) { if (held == null) lower(t, e, nh) else held(t) += ((e, nh)) }
+              if (nh < hcur(e)) { if (config.async) lowers(t)(e, nh) else held(t).add(e, nh) }
             }
           }
-          if (held != null) for (t <- 0 until nThreads; (e, nh) <- held(t)) lower(t, e, nh)
+          for (t <- 0 until nThreads) {
+            val hd = held(t)
+            var i = 0
+            while (i < hd.size) { lowers(t)(hd.edges(i), hd.values(i)); i += 1 }
+            hd.size = 0
+          }
         }
-        val changed = logs.map(_.length).sum
-        if (config.pruning) {
-          // Lemma-4 activation: a changed e' = (x, y) can affect only the
-          // edges with an endpoint within h-1 hops of x or y, and only if
-          // its drop crossed their current value (new < H(f) <= old).
-          // Changed edges sharing a root vertex are merged (max old,
-          // min new) before the BFS — a sound conservative superset that
-          // turns O(|changed|) ball walks into O(|distinct roots|), which
-          // matters on hub-heavy graphs where one vertex carries thousands
-          // of changed edges.
-          val next    = new java.util.BitSet(m)
-          val act     = scratches(0)
-          val oldMax  = new Array[Int](g.n)
-          val newMin  = new Array[Int](g.n)
-          val rootSet = new java.util.BitSet(g.n)
-          for (log <- logs; (ePrime, old) <- log) {
-            val nw = hcur(ePrime)
-            var side = 0
-            while (side < 2) {
-              val root = if (side == 0) g.edgeSrc(ePrime) else g.edgeDst(ePrime)
-              if (!rootSet.get(root)) { rootSet.set(root); oldMax(root) = old; newMin(root) = nw }
-              else {
-                if (old > oldMax(root)) oldMax(root) = old
-                if (nw < newMin(root)) newMin(root) = nw
+        val changed = logs.map(_.size).sum
+        if (config.pruning || (index != null && changed > 0)) {
+          // End-of-round walk from every endpoint of a changed edge e' over
+          // the vertices within h-1 hops of it, whose keys e' enters: their
+          // stored keys become stale and, under pruning, Lemma 4 activates
+          // the edges there whose current value the drop crossed (new < H(f)
+          // <= old). Changed edges sharing a root vertex are merged (max
+          // old, min new) before the walk — a sound conservative superset
+          // that turns O(|changed|) ball walks into O(|distinct roots|),
+          // which matters on hub-heavy graphs where one vertex carries
+          // thousands of changed edges.
+          for (log <- logs) {
+            var i = 0
+            while (i < log.size) {
+              val ePrime = log.edges(i)
+              val old    = log.values(i)
+              val nw     = hcur(ePrime)
+              var side = 0
+              while (side < 2) {
+                val root = if (side == 0) g.edgeSrc(ePrime) else g.edgeDst(ePrime)
+                if (!rootSet.get(root)) { rootSet.set(root); oldMax(root) = old; newMin(root) = nw }
+                else {
+                  if (old > oldMax(root)) oldMax(root) = old
+                  if (nw < newMin(root)) newMin(root) = nw
+                }
+                side += 1
               }
-              side += 1
+              i += 1
             }
           }
+          var nRoots = 0
           var root   = rootSet.nextSetBit(0)
-          var walked = 0
-          while (root >= 0) {
-            if ((walked & 63) == 0) Budget.check(config.deadlineNanos)
-            walked += 1
-            val old = oldMax(root); val nw = newMin(root)
-            act.forEachBallVertex(root, h - 1, null) { z =>
-              var i = g.offsets(z)
-              val end = g.offsets(z + 1)
-              while (i < end) {
-                val f = g.adjEdge(i)
-                if (!next.get(f) && nw < hcur(f) && hcur(f) <= old) next.set(f)
-                i += 1
-              }
+          while (root >= 0) { roots(nRoots) = root; nRoots += 1; root = rootSet.nextSetBit(root + 1) }
+          rootSet.clear()
+          forSlices(nRoots) { (t, from, until) =>
+            val next = if (config.pruning) nexts(t) else null
+            var i = from
+            while (i < until) {
+              val r = roots(i)
+              scratches(t).walk(r, h, index, round, hcur, oldMax(r), newMin(r), next)
+              i += 1
             }
-            root = rootSet.nextSetBit(root + 1)
           }
-          active = next
-          done = next.isEmpty
+        }
+        if (config.pruning) {
+          active.clear()
+          for (next <- nexts) { active.or(next); next.clear() }
+          done = active.isEmpty
         } else {
           done = changed == 0
         }

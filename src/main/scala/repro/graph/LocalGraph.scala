@@ -100,26 +100,57 @@ final class LocalGraph private (
 object LocalGraph {
 
   /** Build from canonical or raw pairs (self-loops dropped, duplicates
-    * merged, orientation normalized).
+    * merged, orientation normalized). Works on primitive arrays: each
+    * canonical pair ``u < v`` is packed into one ``Long`` that sorts as
+    * ``(u, v)``, and the sorted distinct endpoints are the labels, so the
+    * dense edges come out sorted by ``(src, dst)``.
     */
   def fromEdges(pairs: Seq[(Int, Int)]): LocalGraph = {
-    val canonical = pairs.iterator
-      .filter { case (u, v) => u != v }
-      .map { case (u, v) => if (u < v) (u, v) else (v, u) }
-      .toSeq.distinct
-    val labels = canonical.flatMap(e => Seq(e._1, e._2)).distinct.sorted.toArray
-    val index  = labels.zipWithIndex.toMap
-    val dense  = canonical.map { case (u, v) =>
-      val (a, b) = (index(u), index(v)); if (a < b) (a, b) else (b, a)
-    }.sortBy(identity).toArray
-    val n = labels.length
-    val m = dense.length
-    val edgeSrc = dense.map(_._1)
-    val edgeDst = dense.map(_._2)
-    val deg = new Array[Int](n)
-    dense.foreach { case (u, v) => deg(u) += 1; deg(v) += 1 }
-    val offsets = new Array[Int](n + 1)
+    val packed = new Array[Long](pairs.size)
+    var k  = 0
+    val it = pairs.iterator
+    while (it.hasNext) {
+      val (a, b) = it.next()
+      if (a != b) {
+        packed(k) = (math.min(a, b).toLong << 32) | (math.max(a, b).toLong - Int.MinValue)
+        k += 1
+      }
+    }
+    java.util.Arrays.sort(packed, 0, k)
+    var m = 0
     var i = 0
+    while (i < k) {
+      if (m == 0 || packed(i) != packed(m - 1)) { packed(m) = packed(i); m += 1 }
+      i += 1
+    }
+    val ends = new Array[Int](2 * m)
+    i = 0
+    while (i < m) {
+      ends(2 * i) = (packed(i) >> 32).toInt
+      ends(2 * i + 1) = (packed(i) + Int.MinValue).toInt
+      i += 1
+    }
+    java.util.Arrays.sort(ends)
+    var n = 0
+    i = 0
+    while (i < ends.length) {
+      if (n == 0 || ends(i) != ends(n - 1)) { ends(n) = ends(i); n += 1 }
+      i += 1
+    }
+    val labels  = java.util.Arrays.copyOf(ends, n)
+    val edgeSrc = new Array[Int](m)
+    val edgeDst = new Array[Int](m)
+    val deg     = new Array[Int](n)
+    i = 0
+    while (i < m) {
+      val u = java.util.Arrays.binarySearch(labels, (packed(i) >> 32).toInt)
+      val v = java.util.Arrays.binarySearch(labels, (packed(i) + Int.MinValue).toInt)
+      edgeSrc(i) = u; edgeDst(i) = v
+      deg(u) += 1; deg(v) += 1
+      i += 1
+    }
+    val offsets = new Array[Int](n + 1)
+    i = 0
     while (i < n) { offsets(i + 1) = offsets(i) + deg(i); i += 1 }
     val cursor  = offsets.clone()
     val adjVert = new Array[Int](2 * m)

@@ -16,7 +16,22 @@ class LocalHIndexSpec extends AnyFunSuite {
     "Asyn(4)"       -> LocalHIndexConfig(threads = 4, async = true),
     "Pruned(1)"     -> LocalHIndexConfig(threads = 1, pruning = true),
     "Paral+(4)"     -> LocalHIndexConfig(threads = 4, async = true, pruning = true),
+    // More threads than cores, so that workers rewrite shared keys at once.
+    "Asyn(8)"       -> LocalHIndexConfig(threads = 8, async = true),
+    "Paral+(8)"     -> LocalHIndexConfig(threads = 8, async = true, pruning = true),
   )
+
+  /** The engine's ball index of ``g``, built on one thread. */
+  private def ballIndex(g: LocalGraph, h: Int): BallIndex = {
+    val scratch  = new HopScratch(g)
+    val shellOff = new Array[Int](g.n * (h + 1) + 1)
+    for (v <- 0 until g.n) scratch.countShells(v, h, shellOff)
+    var total = 0
+    for (k <- shellOff.indices) { val size = shellOff(k); shellOff(k) = total; total += size }
+    val index = new BallIndex(h, shellOff, new Array[Int](total))
+    for (v <- 0 until g.n) scratch.fillBall(v, index)
+    index
+  }
 
   private def checkAll(edges: Seq[(Int, Int)], h: Int, label: String): Unit = {
     val g = LocalGraph.fromEdges(edges)
@@ -109,6 +124,45 @@ class LocalHIndexSpec extends AnyFunSuite {
     }
   }
 
+  test("order-0 supports from the ball index match the per-edge supports") {
+    for ((edges, i) <- TestGraphs.randomPool(8, 30, 420).zipWithIndex; h <- 1 to 3) {
+      val g = LocalGraph.fromEdges(edges)
+      val got = new Array[Int](g.m)
+      new HopScratch(g).storeSupports(ballIndex(g, h), 0, g.m, got)
+      assert(got.toSeq == HSupport.local(g, h).toSeq, s"pool$i h=$h")
+    }
+  }
+
+  test("asynchronous edge phase: stale stored keys only raise values, refreshed keys are exact") {
+    val rng = new scala.util.Random(7)
+    for ((edges, i) <- (TestGraphs.randomPool(6, 24, 510) :+ GraphGen.chungLu(150, 400, 2.3, 12)).zipWithIndex;
+         h <- 1 to 3) {
+      val g    = LocalGraph.fromEdges(edges)
+      val tau  = BaselinePeeling.trussness(g, h)
+      val sup  = HSupport.local(g, h)
+      // Pointwise sup >= hvalOld >= hvalNew >= tau - 2.
+      val hvalNew = Array.tabulate(g.m)(e => tau(e) - 2 + rng.nextInt(sup(e) - tau(e) + 3))
+      val hvalOld = Array.tabulate(g.m)(e => hvalNew(e) + rng.nextInt(sup(e) - hvalNew(e) + 1))
+      val scratch = new HopScratch(g)
+      val fresh   = Array.tabulate(g.m)(e => scratch.computeHIndex(e, h, hvalNew, hvalNew(e)))
+      for (e <- 0 until g.m) assert(fresh(e) >= tau(e) - 2, s"graph$i h=$h e=$e")
+      val all = new java.util.BitSet(g.m); all.set(0, g.m)
+      for (stale <- Seq(false, true)) {
+        // Keys stored from hvalOld in round 1; round 2 reads hvalNew live.
+        // Marking every vertex touched in round 1 makes every key stale.
+        val index = ballIndex(g, h)
+        for (v <- 0 until g.n) scratch.storeKeys(v, index, hvalOld, 1)
+        if (stale) java.util.Arrays.fill(index.touched, 1)
+        val got = hvalNew.clone()
+        scratch.storeHIndices(index, 0, g.m, all, hvalNew, 2, live = true, (e, nh) => got(e) = nh)
+        for (e <- 0 until g.m) {
+          if (stale) assert(got(e) == fresh(e), s"graph$i h=$h e=$e (refreshed keys)")
+          else assert(got(e) >= fresh(e), s"graph$i h=$h e=$e (stale keys)")
+        }
+      }
+    }
+  }
+
   test("synchronous rounds are deterministic and thread-count independent") {
     val g = LocalGraph.fromEdges(GraphGen.chungLu(120, 300, 2.3, 77))
     val r1 = LocalHIndexDecomposition.decompose(g, 2, LocalHIndexConfig(threads = 1))
@@ -132,6 +186,13 @@ class LocalHIndexSpec extends AnyFunSuite {
         val perEdge = LocalHIndexDecomposition.run(g, h, c, storeBytes = 0)
         assert(perEdge.trussness.toSeq == indexed.trussness.toSeq, s"h=$h $c")
         assert(perEdge.rounds == indexed.rounds, s"h=$h $c")
+      }
+      // Asynchronous round counts depend on scheduling; the result does not.
+      for (cfg <- Seq(LocalHIndexConfig(threads = 4, async = true),
+                      LocalHIndexConfig(threads = 4, async = true, pruning = true))) {
+        val indexed = LocalHIndexDecomposition.decompose(g, h, cfg)
+        val perEdge = LocalHIndexDecomposition.run(g, h, cfg, storeBytes = 0)
+        assert(perEdge.trussness.toSeq == indexed.trussness.toSeq, s"h=$h $cfg")
       }
     }
   }

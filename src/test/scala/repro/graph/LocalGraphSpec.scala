@@ -12,6 +12,27 @@ class LocalGraphSpec extends AnyFunSuite {
     assert(g.edgePairs.toSet == Set((1, 2), (2, 3)))
   }
 
+  test("fromEdges builds the same CSR arrays as the tuple-based reference builder") {
+    val rng = new scala.util.Random(2024)
+    val extremes = Seq(Int.MinValue, Int.MinValue + 1, -1, 0, 1, Int.MaxValue - 1, Int.MaxValue)
+    def label(): Int =
+      if (rng.nextInt(3) == 0) extremes(rng.nextInt(extremes.length)) else rng.nextInt(40) - 20
+    val inputs = Seq(Seq.empty[(Int, Int)], Seq((Int.MinValue, Int.MaxValue)), TestGraphs.bowtie) ++
+      (0 until 200).map { _ =>
+        val pairs = Seq.fill(rng.nextInt(60))((label(), label()))
+        // Self-loops, duplicates and both orientations of some pairs.
+        pairs ++ pairs.take(rng.nextInt(10)).map(_.swap) ++ pairs.take(rng.nextInt(5)) ++
+          Seq.fill(rng.nextInt(3)) { val x = label(); (x, x) }
+      }
+    for ((pairs, i) <- inputs.zipWithIndex) {
+      val g   = LocalGraph.fromEdges(pairs)
+      val ref = LocalGraphSpec.referenceCsr(pairs)
+      val got = Seq(g.label, g.edgeSrc, g.edgeDst, g.offsets, g.adjVert, g.adjEdge)
+      assert(g.n == ref.head.length && g.m == ref(1).length, s"input $i")
+      for ((a, b) <- got.zip(ref)) assert(a.toSeq == b.toSeq, s"input $i: $pairs")
+    }
+  }
+
   test("labels map dense ids back to original vertex ids") {
     val g = LocalGraph.fromEdges(Seq((100, 7), (7, 42)))
     assert(g.label.toSet == Set(7, 42, 100))
@@ -122,5 +143,41 @@ class LocalGraphSpec extends AnyFunSuite {
     assert(g.n == 5 && g.m == 4)
     val dense10 = g.label.indexOf(10)
     assert(g.ball(dense10, 5).map(g.label) == Set(11))
+  }
+}
+
+object LocalGraphSpec {
+
+  /** The CSR arrays ``label, edgeSrc, edgeDst, offsets, adjVert, adjEdge``
+    * built with Scala collections of tuples, as ``LocalGraph.fromEdges``
+    * once did: the reference for its primitive-array build.
+    */
+  def referenceCsr(pairs: Seq[(Int, Int)]): Seq[Array[Int]] = {
+    val canonical = pairs.iterator
+      .filter { case (u, v) => u != v }
+      .map { case (u, v) => if (u < v) (u, v) else (v, u) }
+      .toSeq.distinct
+    val labels = canonical.flatMap(e => Seq(e._1, e._2)).distinct.sorted.toArray
+    val index  = labels.zipWithIndex.toMap
+    val dense  = canonical.map { case (u, v) =>
+      val (a, b) = (index(u), index(v)); if (a < b) (a, b) else (b, a)
+    }.sortBy(identity).toArray
+    val n = labels.length
+    val m = dense.length
+    val edgeSrc = dense.map(_._1)
+    val edgeDst = dense.map(_._2)
+    val deg = new Array[Int](n)
+    dense.foreach { case (u, v) => deg(u) += 1; deg(v) += 1 }
+    val offsets = new Array[Int](n + 1)
+    for (i <- 0 until n) offsets(i + 1) = offsets(i) + deg(i)
+    val cursor  = offsets.clone()
+    val adjVert = new Array[Int](2 * m)
+    val adjEdge = new Array[Int](2 * m)
+    for (e <- 0 until m) {
+      val u = edgeSrc(e); val v = edgeDst(e)
+      adjVert(cursor(u)) = v; adjEdge(cursor(u)) = e; cursor(u) += 1
+      adjVert(cursor(v)) = u; adjEdge(cursor(v)) = e; cursor(v) += 1
+    }
+    Seq(labels, edgeSrc, edgeDst, offsets, adjVert, adjEdge)
   }
 }
