@@ -5,7 +5,8 @@ import repro.bench.Harness
 
 /** Reproduces the paper's evaluation: Table 1 and Figures 4–6 as tables 1–4
   * (see EXPERIMENTS.md). Prints each table and then the ways it breaks the
-  * paper's shape; exits 1 if any table broke it and 2 on a bad command line.
+  * paper's shape; exits 1 if any table broke it and 2 on a bad command line
+  * or ``REPRO_BUDGET_MS``.
   *
   * Usage: ``spark-submit --class repro.jobs.Reproduce <jar> <1|2|3|4|all>
   * [h...]`` (default h = 2 3), or ``sbt "runMain repro.jobs.Reproduce all"``.
@@ -31,12 +32,23 @@ object Reproduce {
       else Right((tables.get, if (hs.isEmpty) Seq(2, 3) else hs.flatten))
   }
 
+  /** The per-variant budget in ms that ``REPRO_BUDGET_MS`` (``None`` when
+    * unset) asks for, or why it is rejected.
+    */
+  def parseBudget(env: Option[String]): Either[String, Long] = env match {
+    case None    => Right(90000L)
+    case Some(s) => s.toLongOption.filter(_ >= 1).toRight(s"REPRO_BUDGET_MS must be an integer >= 1, got '$s'")
+  }
+
   def main(args: Array[String]): Unit = {
-    val (tables, hs) = parse(args.toSeq) match {
+    val request = for {
+      tablesAndHs <- parse(args.toSeq)
+      budgetMs    <- parseBudget(sys.env.get("REPRO_BUDGET_MS"))
+    } yield (tablesAndHs, budgetMs)
+    val ((tables, hs), budgetMs) = request match {
       case Right(parsed) => parsed
       case Left(msg)     => System.err.println(msg); sys.exit(2)
     }
-    val budgetMs = sys.env.getOrElse("REPRO_BUDGET_MS", "90000").toLong
     val threads  = Runtime.getRuntime.availableProcessors()
     lazy val spark = SparkSession.builder
       .master(sys.props.getOrElse("spark.master", "local[*]"))

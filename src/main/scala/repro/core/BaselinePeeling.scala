@@ -42,6 +42,7 @@ object BaselinePeeling {
     var processed = 0
     var k = 2
     val affected = new ArrayBuffer[Int]()
+    val seen     = new java.util.BitSet(m) // the edges in affected
     while (processed < m) {
       if (bins(k).isEmpty) k += 1
       else {
@@ -56,9 +57,9 @@ object BaselinePeeling {
           val u = g.edgeSrc(cand); val v = g.edgeDst(cand)
           // Collect candidate edges whose support may have dropped.
           affected.clear()
-          val seen = new java.util.BitSet(m)
-          for (root <- Seq(u, v)) {
-            scratch.forEachBallVertex(root, h - 1, alive) { z =>
+          var side = 0
+          while (side < 2) {
+            scratch.forEachBallVertex(if (side == 0) u else v, h - 1, alive) { z =>
               var i = g.offsets(z)
               val end = g.offsets(z + 1)
               while (i < end) {
@@ -67,11 +68,13 @@ object BaselinePeeling {
                 i += 1
               }
             }
+            side += 1
           }
           var j = 0
           while (j < affected.length) {
             if ((j & 255) == 0) Budget.check(deadlineNanos)
             val f = affected(j)
+            seen.clear(f)
             if (sup(f) + 2 > k) { // below k the edge's key is pinned at k anyway
               val ns = scratch.support(g.edgeSrc(f), g.edgeDst(f), h, alive)
               if (ns != sup(f)) {

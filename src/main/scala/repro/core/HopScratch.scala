@@ -5,15 +5,16 @@ import repro.graph.LocalGraph
 /** Static h-ball index of a [[LocalGraph]] plus one maximin key per entry:
   * the per-vertex key store every round of the local engine shares (see
   * [[HopScratch]]). The engine builds it once per decomposition, in every
-  * mode, when it fits its memory cap.
+  * mode: ``ballSize(v) = |ball_h(v)|`` sizes it, and [[HopScratch.fillBall]]
+  * fills in each ball and its shell offsets.
   *
   * ``shellOff(v * (h + 1) + k)``, ``k = 0 .. h``, is the start in
   * ``ballVert`` of the vertices at distance exactly ``k`` from ``v`` (shell
   * 0 is ``v`` itself), so ``ballVert(start(v) until end(v))`` is
   * ``ball_h(v)`` in BFS order and ``ballVert(start(v) until nearEnd(v))``
   * is ``ball_{h-1}(v)``. ``keys(j)`` is the maximin key from ``v`` to
-  * ``ballVert(j)``. Both arrays hold ``n + Σ|ball_h(v)|`` ints, 8 bytes per
-  * ball entry in all.
+  * ``ballVert(j)``. Both arrays hold ``Σ|ball_h(v)|`` ints, each ball
+  * counting its root: 8 bytes per ball entry in all.
   *
   * Freshness: ``v``'s keys depend only on the values of edges with an
   * endpoint within ``h - 1`` hops of ``v``. ``touched(v)`` is the last round
@@ -22,10 +23,13 @@ import repro.graph.LocalGraph
   * never), so the keys may be stale exactly when [[stale]] holds. Rounds
   * count from 1.
   */
-final class BallIndex(val h: Int, val shellOff: Array[Int], val ballVert: Array[Int]) {
-  val keys = new Array[Int](ballVert.length)
+final class BallIndex(val h: Int, ballSize: Array[Int]) {
+  private val n = ballSize.length
+  val shellOff = new Array[Int](n * (h + 1) + 1)
+  for (v <- 0 until n) shellOff((v + 1) * (h + 1)) = shellOff(v * (h + 1)) + ballSize(v)
+  val ballVert = new Array[Int](shellOff(n * (h + 1)))
+  val keys     = new Array[Int](ballVert.length)
 
-  private val n = (shellOff.length - 1) / (h + 1)
   val touched = new Array[Int](n)
   val written = new java.util.concurrent.atomic.AtomicIntegerArray(n)
 
@@ -54,8 +58,9 @@ final class BallIndex(val h: Int, val shellOff: Array[Int], val ballVert: Array[
   * endpoints. A synchronous round first rewrites the stale keys it needs,
   * then combines stored keys. An asynchronous round rebuilds each source's
   * keys from the live values and rewrites a stale destination's keys on
-  * first use. The per-edge [[computeHIndex]], which rebuilds both
-  * endpoints' keys, serves the runs whose index would not fit in memory.
+  * first use. [[computeHIndex]] is the single-edge reference: it rebuilds
+  * both endpoints' keys by BFS and DP, needs no index, and the tests hold
+  * the indexed rounds to it; the engine never calls it.
   *
   * Both maximin DPs make ``h`` sweeps, and sweep ``d`` relaxes only the
   * BFS-order prefix at distance ``<= d + 1``, pushing from the prefix at
@@ -220,9 +225,10 @@ final class HopScratch(g: LocalGraph) {
     contrib(n) = c
   }
 
-  /** One Algorithm-3 step: the next-order H-index of edge ``e`` given the
-    * current per-edge keys ``hval``, capped by ``cap`` (the previous value —
-    * the sequence is non-increasing by Theorem 1).
+  /** One Algorithm-3 step for one edge, the reference kernel: the
+    * next-order H-index of edge ``e`` given the current per-edge keys
+    * ``hval``, capped by ``cap`` (the previous value — the sequence is
+    * non-increasing by Theorem 1). Rebuilds both endpoints' balls and keys.
     */
   def computeHIndex(e: Int, h: Int, hval: Array[Int], cap: Int): Int = {
     val u = g.edgeSrc(e)
@@ -248,21 +254,25 @@ final class HopScratch(g: LocalGraph) {
     hIndexOfContribs(nContrib, cap)
   }
 
-  /** Count pass of [[BallIndex]] construction: adds the size of each
-    * distance-``k`` shell of ``ball_h(v)`` to ``shells(v * (h + 1) + k)``.
-    */
-  def countShells(v: Int, h: Int, shells: Array[Int]): Unit = {
-    val cnt = g.bfs(v, h, null, stampU, nextToken(), distU, orderU)
-    var i = 0
-    while (i < cnt) { shells(v * (h + 1) + distU(orderU(i))) += 1; i += 1 }
-  }
+  /** Count pass of [[BallIndex]] construction: ``|ball_h(v)|``. */
+  def ballSize(v: Int, h: Int): Int = g.bfs(v, h, null, stampU, nextToken(), distU, orderU)
 
   /** Fill pass of [[BallIndex]] construction: copies ``ball_h(v)`` in BFS
-    * order into ``index.ballVert`` from ``index.start(v)``.
+    * order into ``index.ballVert`` from ``index.start(v)`` and sets the
+    * start of each of its shells ``1 .. h``.
     */
   def fillBall(v: Int, index: BallIndex): Unit = {
-    val cnt = g.bfs(v, index.h, null, stampU, nextToken(), distU, orderU)
-    System.arraycopy(orderU, 0, index.ballVert, index.start(v), cnt)
+    val h     = index.h
+    val cnt   = g.bfs(v, h, null, stampU, nextToken(), distU, orderU)
+    val start = index.start(v)
+    System.arraycopy(orderU, 0, index.ballVert, start, cnt)
+    var j = 0
+    var k = 1
+    while (k <= h) {
+      while (j < cnt && distU(orderU(j)) < k) j += 1
+      index.shellOff(v * (h + 1) + k) = start + j
+      k += 1
+    }
   }
 
   /** Maximin keys of ``v`` over ``hval``, built in ``key1``/``key2``
@@ -347,22 +357,19 @@ final class HopScratch(g: LocalGraph) {
 
   /** End-of-round walk from ``root``, an endpoint of edges changed in
     * ``round`` from at most ``old`` to at least ``nw``, over the vertices
-    * ``z`` within ``h - 1`` hops of it: read from ``index`` when it is given,
-    * which marks them ``index.touched(z) = round``, else found by BFS. When
-    * ``next`` is given, it also receives each edge ``f`` at such a ``z``
-    * with ``nw < hval(f) <= old`` (Lemma-4 activation).
+    * ``z`` within ``h - 1`` hops of it, read from ``index``: marks them
+    * ``index.touched(z) = round``. When ``next`` is given, it also receives
+    * each edge ``f`` at such a ``z`` with ``nw < hval(f) <= old`` (Lemma-4
+    * activation).
     */
-  def walk(root: Int, h: Int, index: BallIndex, round: Int, hval: Array[Int], old: Int, nw: Int,
+  def walk(root: Int, index: BallIndex, round: Int, hval: Array[Int], old: Int, nw: Int,
            next: java.util.BitSet): Unit = {
-    var ball  = orderU
-    var from  = 0
-    var until = 0
-    if (index != null) { ball = index.ballVert; from = index.start(root); until = index.nearEnd(root) }
-    else until = g.bfs(root, h - 1, null, stampU, nextToken(), distU, orderU)
-    var j = from
+    val ball  = index.ballVert
+    val until = index.nearEnd(root)
+    var j = index.start(root)
     while (j < until) {
       val z = ball(j)
-      if (index != null) index.touched(z) = round
+      index.touched(z) = round
       if (next != null) {
         var i = g.offsets(z)
         val end = g.offsets(z + 1)

@@ -12,8 +12,11 @@ import repro.graph.LocalGraph
   * which stores each vertex's maximin keys; a round rewrites only the keys
   * it needs that are stale. After each round, a walk from the endpoints of
   * the changed edges marks stale the keys those changes enter (the vertices
-  * within h-1 hops of them). If the index would take more than a quarter of
-  * the maximum heap, each edge rebuilds both endpoints' keys instead.
+  * within h-1 hops of them). A graph whose index would take more than a
+  * quarter of the maximum heap is rejected before the index is allocated.
+  * [[HopScratch.computeHIndex]], which rebuilds both endpoints' keys for
+  * one edge, is the reference the tests hold these rounds to; no round
+  * calls it.
   *
   * Variants, selected by [[LocalHIndexConfig]]:
   *  - '''Single''': ``threads = 1, async = false, pruning = false``
@@ -23,7 +26,7 @@ import repro.graph.LocalGraph
   *    vertex phase rewrites the stale keys of every endpoint of an active
   *    edge, reading the order-(n-1) values, and the edge phase combines
   *    each edge's two stored key vectors, so no snapshot of the values is
-  *    taken. Without the index, the round writes its values at its end.
+  *    taken.
   *  - '''Asyn''':   ``async = true`` — threads read the live shared value
   *    array, so later edges in a round see already-updated same-round values
   *    (Section 4.1 shows this preserves monotonicity and the fixpoint). The
@@ -85,21 +88,26 @@ object LocalHIndexDecomposition {
     }
   }
 
-  /** Run the decomposition of graph ``g`` at hop threshold ``h``. The run
-    * builds its [[BallIndex]] only if it takes at most a quarter of the
-    * maximum heap.
+  /** Longest array the JVM allocates. */
+  private val MaxArray = Int.MaxValue - 8
+
+  /** Run the decomposition of graph ``g`` at hop threshold ``h``. The
+    * [[BallIndex]] may take at most a quarter of the maximum heap; a graph
+    * whose index would be larger is rejected with an
+    * ``IllegalArgumentException`` that gives the bytes needed.
     */
   def decompose(g: LocalGraph, h: Int, config: LocalHIndexConfig = LocalHIndexConfig()): LocalHIndexResult =
     run(g, h, config, Runtime.getRuntime.maxMemory / 4)
 
-  /** [[decompose]] with at most ``storeBytes`` bytes for the ball index; a
-    * run whose index would be larger recomputes each edge's keys per edge.
-    */
-  private[core] def run(g: LocalGraph, h: Int, config: LocalHIndexConfig, storeBytes: Long): LocalHIndexResult = {
-    require(h >= 1, s"need h >= 1, got $h")
+  /** [[decompose]] with at most ``storeBytes`` bytes for the ball index. */
+  private[core] def run(g: LocalGraph, hop: Int, config: LocalHIndexConfig, storeBytes: Long): LocalHIndexResult = {
+    require(hop >= 1, s"need h >= 1, got $hop")
     require(config.threads >= 1, s"need threads >= 1, got ${config.threads}")
     val m = g.m
     if (m == 0) return LocalHIndexResult(new Array[Int](0), 0)
+    // No shortest path, and no maximin key's best path, has more than n - 1
+    // hops, so a larger h changes no ball and no value.
+    val h = math.min(hop, math.max(1, g.n - 1))
 
     val nThreads = math.min(config.threads, m)
     val pool     = Executors.newFixedThreadPool(nThreads)
@@ -138,36 +146,29 @@ object LocalHIndexDecomposition {
           while (i < until) { body(t, i); i += 1 }
         }
 
-      // Every round shares per-vertex keys through a ball index built once,
-      // if it fits in storeBytes; its count and fill passes are two parallel
-      // BFS sweeps.
-      val index = {
-        val shellOff = new Array[Int](g.n * (h + 1) + 1)
-        forAll(g.n)((t, v) => scratches(t).countShells(v, h, shellOff))
-        var total = 0L
-        var k = 0
-        while (k < shellOff.length) {
-          val size = shellOff(k); shellOff(k) = total.toInt; total += size; k += 1
-        }
-        if (total >= Int.MaxValue || 8 * total + 4L * shellOff.length + 8L * g.n > storeBytes) null
-        else {
-          val idx = new BallIndex(h, shellOff, new Array[Int](total.toInt))
-          forAll(g.n)((t, v) => scratches(t).fillBall(v, idx))
-          idx
-        }
-      }
+      // Every round shares per-vertex keys through a ball index built once
+      // by two parallel BFS passes: the ball sizes, then the balls. Nothing
+      // that grows with the index is allocated before its size is checked.
+      val ballSize = new Array[Int](g.n)
+      forAll(g.n)((t, v) => ballSize(v) = scratches(t).ballSize(v, h))
+      var entries  = 0L
+      for (size <- ballSize) entries += size
+      val shellLen = g.n.toLong * (h + 1) + 1
+      val bytes    = 8 * entries + 4 * shellLen + 8L * g.n
+      require(entries <= MaxArray && shellLen <= MaxArray && bytes <= storeBytes,
+        s"the ball index at h=$h needs $bytes bytes in arrays of up to ${math.max(entries, shellLen)} " +
+          s"entries; the cap is $storeBytes bytes and $MaxArray entries per array")
+      val index = new BallIndex(h, ballSize)
+      forAll(g.n)((t, v) => scratches(t).fillBall(v, index))
 
       // Order-0 values: h-supports, computed in parallel (Alg. 2 lines 1-3).
       val hcur = new Array[Int](m)
-      if (index != null) forSlices(m)((t, from, until) => scratches(t).storeSupports(index, from, until, hcur))
-      else forAll(m)((t, e) => hcur(e) = scratches(t).support(g.edgeSrc(e), g.edgeDst(e), h, null))
+      forSlices(m)((t, from, until) => scratches(t).storeSupports(index, from, until, hcur))
 
       // Per-thread state, reused across rounds: the change log of (edge,
-      // old value) pairs, the new values a synchronous round without index
-      // holds back, the edges the thread's share of the Lemma-4 walk
+      // old value) pairs, the edges the thread's share of the Lemma-4 walk
       // activates, and the callback that lowers a value.
       val logs   = Array.fill(nThreads)(new EdgeLog)
-      val held   = Array.fill(nThreads)(new EdgeLog)
       val nexts  = Array.fill(nThreads)(new java.util.BitSet(m))
       val lowers = Array.tabulate[(Int, Int) => Unit](nThreads) { t =>
         (e, nh) => { logs(t).add(e, hcur(e)); hcur(e) = nh }
@@ -187,37 +188,20 @@ object LocalHIndexDecomposition {
         rounds += 1
         val round = rounds
         logs.foreach(_.size = 0)
-        if (index != null) {
-          if (!config.async) {
-            // Vertex phase: rewrite the stale keys of every endpoint of an
-            // active edge from the previous round's values; the edge phase
-            // below only reads them.
-            needed.clear()
-            var e = active.nextSetBit(0)
-            while (e >= 0) { needed.set(g.edgeSrc(e)); needed.set(g.edgeDst(e)); e = active.nextSetBit(e + 1) }
-            forAll(g.n)((t, v) => if (needed.get(v) && index.stale(v)) scratches(t).storeKeys(v, index, hcur, round))
-          }
-          forSlices(m) { (t, from, until) =>
-            scratches(t).storeHIndices(index, from, until, active, hcur, round, config.async, lowers(t))
-          }
-        } else {
-          // Per-edge kernel: an asynchronous round writes each value at
-          // once; a synchronous one holds its values back to the round's end.
-          forAll(m) { (t, e) =>
-            if (active.get(e)) {
-              val nh = scratches(t).computeHIndex(e, h, hcur, hcur(e))
-              if (nh < hcur(e)) { if (config.async) lowers(t)(e, nh) else held(t).add(e, nh) }
-            }
-          }
-          for (t <- 0 until nThreads) {
-            val hd = held(t)
-            var i = 0
-            while (i < hd.size) { lowers(t)(hd.edges(i), hd.values(i)); i += 1 }
-            hd.size = 0
-          }
+        if (!config.async) {
+          // Vertex phase: rewrite the stale keys of every endpoint of an
+          // active edge from the previous round's values; the edge phase
+          // below only reads them.
+          needed.clear()
+          var e = active.nextSetBit(0)
+          while (e >= 0) { needed.set(g.edgeSrc(e)); needed.set(g.edgeDst(e)); e = active.nextSetBit(e + 1) }
+          forAll(g.n)((t, v) => if (needed.get(v) && index.stale(v)) scratches(t).storeKeys(v, index, hcur, round))
+        }
+        forSlices(m) { (t, from, until) =>
+          scratches(t).storeHIndices(index, from, until, active, hcur, round, config.async, lowers(t))
         }
         val changed = logs.map(_.size).sum
-        if (config.pruning || (index != null && changed > 0)) {
+        if (changed > 0) {
           // End-of-round walk from every endpoint of a changed edge e' over
           // the vertices within h-1 hops of it, whose keys e' enters: their
           // stored keys become stale and, under pruning, Lemma 4 activates
@@ -255,7 +239,7 @@ object LocalHIndexDecomposition {
             var i = from
             while (i < until) {
               val r = roots(i)
-              scratches(t).walk(r, h, index, round, hcur, oldMax(r), newMin(r), next)
+              scratches(t).walk(r, index, round, hcur, oldMax(r), newMin(r), next)
               i += 1
             }
           }

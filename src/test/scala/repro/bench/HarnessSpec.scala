@@ -111,4 +111,11 @@ class HarnessSpec extends AnyFunSuite {
     assert(Reproduce.parse(Seq("5")).left.exists(_.contains("unknown table '5'")))
     assert(Reproduce.parse(Seq("2", "0")).left.exists(_.contains(">= 1")))
   }
+
+  test("Reproduce takes REPRO_BUDGET_MS as a positive integer, 90000 when unset") {
+    assert(Reproduce.parseBudget(None) == Right(90000L))
+    assert(Reproduce.parseBudget(Some("2500")) == Right(2500L))
+    for (bad <- Seq("abc", "", "0", "-5", "1.5", "9999999999999999999"))
+      assert(Reproduce.parseBudget(Some(bad)).left.exists(_.contains(s"REPRO_BUDGET_MS must be an integer >= 1, got '$bad'")), bad)
+  }
 }

@@ -23,14 +23,29 @@ class LocalHIndexSpec extends AnyFunSuite {
 
   /** The engine's ball index of ``g``, built on one thread. */
   private def ballIndex(g: LocalGraph, h: Int): BallIndex = {
-    val scratch  = new HopScratch(g)
-    val shellOff = new Array[Int](g.n * (h + 1) + 1)
-    for (v <- 0 until g.n) scratch.countShells(v, h, shellOff)
-    var total = 0
-    for (k <- shellOff.indices) { val size = shellOff(k); shellOff(k) = total; total += size }
-    val index = new BallIndex(h, shellOff, new Array[Int](total))
+    val scratch = new HopScratch(g)
+    val index   = new BallIndex(h, Array.tabulate(g.n)(scratch.ballSize(_, h)))
     for (v <- 0 until g.n) scratch.fillBall(v, index)
     index
+  }
+
+  /** Synchronous (Jacobi) rounds of the per-edge reference kernel: each
+    * round computes every edge's value from a snapshot of the last round's,
+    * until a round changes nothing or ``maxRounds`` rounds have run.
+    * Returns the trussness and the rounds run, as the engine counts them.
+    */
+  private def jacobi(g: LocalGraph, h: Int, maxRounds: Int): (Seq[Int], Int) = {
+    val scratch = new HopScratch(g)
+    var cur     = HSupport.local(g, h)
+    var rounds  = 0
+    var changed = true
+    while (changed && rounds < maxRounds) {
+      rounds += 1
+      val snapshot = cur
+      cur = Array.tabulate(g.m)(e => scratch.computeHIndex(e, h, snapshot, snapshot(e)))
+      changed = !java.util.Arrays.equals(cur, snapshot)
+    }
+    (cur.toSeq.map(_ + 2), rounds)
   }
 
   private def checkAll(edges: Seq[(Int, Int)], h: Int, label: String): Unit = {
@@ -172,28 +187,57 @@ class LocalHIndexSpec extends AnyFunSuite {
     assert(r1.rounds == r4.rounds && r4.rounds == r16.rounds)
   }
 
-  test("synchronous rounds without the ball index match the indexed rounds") {
+  test("indexed rounds match Jacobi rounds of the per-edge reference kernel") {
     for ((edges, h) <- Seq(
         (TestGraphs.fig1Like, 3),
         (GraphGen.chungLu(120, 300, 2.3, 77), 2),
         (GraphGen.erdosRenyi(200, 400, 44), 3))) {
       val g = LocalGraph.fromEdges(edges)
-      for (cfg <- Seq(LocalHIndexConfig(threads = 1), LocalHIndexConfig(threads = 4),
-                      LocalHIndexConfig(threads = 4, pruning = true));
-           maxRounds <- Seq(1, 2, cfg.maxRounds)) {
-        val c = cfg.copy(maxRounds = maxRounds)
-        val indexed = LocalHIndexDecomposition.decompose(g, h, c)
-        val perEdge = LocalHIndexDecomposition.run(g, h, c, storeBytes = 0)
-        assert(perEdge.trussness.toSeq == indexed.trussness.toSeq, s"h=$h $c")
-        assert(perEdge.rounds == indexed.rounds, s"h=$h $c")
+      for (maxRounds <- Seq(1, 2, LocalHIndexConfig().maxRounds)) {
+        val (expect, expectRounds) = jacobi(g, h, maxRounds)
+        for (threads <- Seq(1, 4)) {
+          val c   = LocalHIndexConfig(threads = threads, maxRounds = maxRounds)
+          val got = LocalHIndexDecomposition.decompose(g, h, c)
+          assert(got.trussness.toSeq == expect, s"h=$h $c")
+          assert(got.rounds == expectRounds, s"h=$h $c")
+        }
+        // Lemma 4 skips only edges a Jacobi round would not change, but a
+        // pruned run can stop without the final no-change round.
+        val c      = LocalHIndexConfig(threads = 4, pruning = true, maxRounds = maxRounds)
+        val pruned = LocalHIndexDecomposition.decompose(g, h, c)
+        assert(pruned.trussness.toSeq == expect, s"h=$h $c")
+        assert(pruned.rounds == expectRounds || pruned.rounds == expectRounds - 1, s"h=$h $c")
       }
       // Asynchronous round counts depend on scheduling; the result does not.
+      val (tau, _) = jacobi(g, h, LocalHIndexConfig().maxRounds)
       for (cfg <- Seq(LocalHIndexConfig(threads = 4, async = true),
-                      LocalHIndexConfig(threads = 4, async = true, pruning = true))) {
-        val indexed = LocalHIndexDecomposition.decompose(g, h, cfg)
-        val perEdge = LocalHIndexDecomposition.run(g, h, cfg, storeBytes = 0)
-        assert(perEdge.trussness.toSeq == indexed.trussness.toSeq, s"h=$h $cfg")
+                      LocalHIndexConfig(threads = 4, async = true, pruning = true)))
+        assert(LocalHIndexDecomposition.decompose(g, h, cfg).trussness.toSeq == tau, s"h=$h $cfg")
+    }
+  }
+
+  test("a ball index over the cap is rejected with the bytes it needs") {
+    val g = LocalGraph.fromEdges(GraphGen.chungLu(120, 300, 2.3, 77))
+    val h = 2
+    val index  = ballIndex(g, h)
+    val needed = 8L * index.ballVert.length + 4L * index.shellOff.length + 8L * g.n
+    for (cfg <- Seq(LocalHIndexConfig(threads = 4), LocalHIndexConfig(threads = 4, async = true),
+                    LocalHIndexConfig(threads = 4, async = true, pruning = true))) {
+      for (cap <- Seq(0L, needed - 1)) {
+        val err = intercept[IllegalArgumentException](LocalHIndexDecomposition.run(g, h, cfg, storeBytes = cap))
+        assert(err.getMessage.contains(s"needs $needed bytes"), s"$cfg cap=$cap: ${err.getMessage}")
       }
+      val atCap = LocalHIndexDecomposition.run(g, h, cfg, storeBytes = needed)
+      assert(atCap.trussness.toSeq == LocalHIndexDecomposition.decompose(g, h, cfg).trussness.toSeq, s"$cfg")
+    }
+  }
+
+  test("h beyond n - 1 hops gives the baseline's trussness") {
+    val g = LocalGraph.fromEdges(GraphGen.smallWorld(40, 4, 0.1, 5))
+    for (h <- Seq(g.n, 1 << 22, Int.MaxValue)) {
+      val expect = BaselinePeeling.trussness(g, h).toSeq
+      for (cfg <- Seq(LocalHIndexConfig(threads = 4), LocalHIndexConfig(threads = 4, async = true, pruning = true)))
+        assert(LocalHIndexDecomposition.decompose(g, h, cfg).trussness.toSeq == expect, s"h=$h $cfg")
     }
   }
 
