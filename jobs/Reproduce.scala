@@ -53,7 +53,6 @@ object Reproduce {
     lazy val spark = SparkSession.builder
       .master(sys.props.getOrElse("spark.master", "local[*]"))
       .appName("repro")
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .config("spark.ui.enabled", value = false)
       .getOrCreate()
     Harness.warmup()

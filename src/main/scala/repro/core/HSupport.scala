@@ -8,7 +8,7 @@ import repro.graph.{HopNeighborhoods, LocalGraph}
   * common h-neighbors of the edge's endpoints (Definition 3). Provided in
   * both distributed (DataFrame joins over the h-hop pair table) and local
   * (CSR + BFS) forms; tests cross-check the two and, for h <= 2, a DuckDB
-  * SQL formulation via the Oracle.
+  * SQL formulation via the test oracle ``repro.Oracle``.
   */
 object HSupport {
 

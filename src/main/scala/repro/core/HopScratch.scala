@@ -58,15 +58,17 @@ final class BallIndex(val h: Int, ballSize: Array[Int]) {
   * endpoints. A synchronous round first rewrites the stale keys it needs,
   * then combines stored keys. An asynchronous round rebuilds each source's
   * keys from the live values and rewrites a stale destination's keys on
-  * first use. [[computeHIndex]] is the single-edge reference: it rebuilds
-  * both endpoints' keys by BFS and DP, needs no index, and the tests hold
-  * the indexed rounds to it; the engine never calls it.
+  * first use. [[computeHIndex]] is the single-edge kernel: it rebuilds
+  * both endpoints' keys by BFS and DP and needs no index. The Spark
+  * engine's tasks run it, and the tests hold the local engine's indexed
+  * rounds to it.
   *
-  * Both maximin DPs make ``h`` sweeps, and sweep ``d`` relaxes only the
-  * BFS-order prefix at distance ``<= d + 1``, pushing from the prefix at
-  * distance ``<= d``: no vertex farther out has a path of ``d + 1`` hops
-  * yet, so the ball's rim is never scanned. The key buffers hold -1 outside
-  * any call, so a vertex outside the ball never contributes.
+  * Both maximin DPs make at most ``h`` sweeps, and sweep ``d`` relaxes only
+  * the BFS-order prefix at distance ``<= d + 1``, pushing from the prefix
+  * at distance ``<= d``: no vertex farther out has a path of ``d + 1`` hops
+  * yet, so the ball's rim is never scanned. A DP stops at its first sweep
+  * that changes no key. The key buffers hold -1 outside any call, so a
+  * vertex outside the ball never contributes.
   */
 final class HopScratch(g: LocalGraph) {
   private var token = 0
@@ -155,7 +157,10 @@ final class HopScratch(g: LocalGraph) {
     * paths p from the root to w with |p| <= h of min over edges e in p of
     * hval(e)``. Sweep ``d`` relaxes the prefix at distance ``<= d + 1`` by
     * pushing from the prefix at distance ``<= d``, the only vertices with a
-    * key yet; every neighbour of those lies in the ball. Returns the one of
+    * key yet; every neighbour of those lies in the ball. A sweep that
+    * changes no key leaves no vertex at distance ``d + 1``, so every later
+    * sweep would give the same keys: the DP stops there, and its sweeps are
+    * bounded by the ball's depth rather than by ``h``. Returns the one of
     * ``key1``/``key2`` holding the keys; the caller resets both to -1 over
     * the ball.
     */
@@ -164,8 +169,10 @@ final class HopScratch(g: LocalGraph) {
     key1(ball(from)) = Int.MaxValue
     var ka = key1
     var kb = key2
+    var changed = true
     var d = 0
-    while (d < h) {
+    while (d < h && changed) {
+      changed = false
       val reach = ends(endsAt + d + 1)
       var j = from
       while (j < reach) { val w = ball(j); kb(w) = ka(w); j += 1 }
@@ -180,7 +187,7 @@ final class HopScratch(g: LocalGraph) {
           val he   = hval(g.adjEdge(p))
           val cand = if (kx < he) kx else he
           val y    = g.adjVert(p)
-          if (cand > kb(y)) kb(y) = cand
+          if (cand > kb(y)) { kb(y) = cand; changed = true }
           p += 1
         }
         j += 1
@@ -225,7 +232,7 @@ final class HopScratch(g: LocalGraph) {
     contrib(n) = c
   }
 
-  /** One Algorithm-3 step for one edge, the reference kernel: the
+  /** One Algorithm-3 step for one edge, the Spark engine's kernel: the
     * next-order H-index of edge ``e`` given the current per-edge keys
     * ``hval``, capped by ``cap`` (the previous value — the sequence is
     * non-increasing by Theorem 1). Rebuilds both endpoints' balls and keys.

@@ -15,8 +15,8 @@ import repro.graph.LocalGraph
   * within h-1 hops of them). A graph whose index would take more than a
   * quarter of the maximum heap is rejected before the index is allocated.
   * [[HopScratch.computeHIndex]], which rebuilds both endpoints' keys for
-  * one edge, is the reference the tests hold these rounds to; no round
-  * calls it.
+  * one edge, is the Spark engine's kernel and the reference the tests hold
+  * these rounds to; no round here calls it.
   *
   * Variants, selected by [[LocalHIndexConfig]]:
   *  - '''Single''': ``threads = 1, async = false, pruning = false``
@@ -42,8 +42,8 @@ import repro.graph.LocalGraph
   *
   * Every parallel loop, the walk included, hands out fixed-size slices of
   * edges, vertices or walk roots from a shared cursor. The maximin DPs
-  * sweep only the BFS-order prefix that can hold a key yet (see
-  * [[HopScratch]]).
+  * sweep only the BFS-order prefix that can hold a key yet, and stop at the
+  * first sweep that changes no key (see [[HopScratch]]).
   *
   * Determinism: the final trussness vector is the unique fixpoint and is
   * identical across variants and thread counts; only the round count of the

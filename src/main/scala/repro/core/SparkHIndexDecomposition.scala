@@ -1,34 +1,37 @@
 package repro.core
 
-import org.apache.spark.sql.{Column, DataFrame}
+import scala.collection.immutable.ArraySeq
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
-import repro.graph.HopNeighborhoods
+import repro.graph.LocalGraph
 
-/** Distributed H-index decomposition engine: Algorithms 2–3 expressed as
-  * iterative DataFrame (Catalyst) dataflow.
+/** Distributed H-index decomposition engine: Algorithms 2–3 as one Spark
+  * job per round, whose tasks run the shared single-edge kernel
+  * [[HopScratch.computeHIndex]] (subgraph-centric BSP, as in Tian et al.,
+  * "From 'Think Like a Vertex' to 'Think Like a Graph'", PVLDB 2013).
   *
-  * Static per (G, h): the h-hop pair table (distributed BFS), the
-  * common-h-neighbor table ``(eid, u, v, w)``, and the oriented adjacency —
-  * all persisted. Each round then:
-  *
-  *  1. joins per-edge keys onto the adjacency and runs ``h`` hop-bounded
-  *     maximin DP steps (join + max-aggregate) to get the reachable-path
-  *     keys ``P(a, b)`` of Definition 6;
-  *  2. joins ``P`` onto the common-neighbor table from both endpoints and
-  *     aggregates ``min(P(u,w), P(v,w))`` per edge with a native H-index
-  *     expression (no UDF);
-  *  3. merges the new values, counts changes, and ``localCheckpoint``s the
-  *     key table to keep lineage flat across rounds.
+  * The canonical edges are collected once into a [[LocalGraph]] whose CSR
+  * is broadcast once per decomposition, so the graph must fit on the driver
+  * and on every executor; partitions that carry only their h-hop halo are
+  * not implemented. ``h`` is clamped to ``max(1, n - 1)``, as in the local
+  * engine. The order-0 values are one job of [[HopScratch.support]]. Each
+  * round then broadcasts the value vector and runs one ``mapPartitions``
+  * job over the edge ids to recompute, in ``defaultParallelism`` slices:
+  * each task builds one [[HopScratch]] and returns only the ``(edge,
+  * value)`` pairs its edges lowered, which the driver applies. Every task
+  * reads the previous round's vector, so a round is a Jacobi step.
   *
   * Modes (the paper's variants that exist in a BSP engine; Asyn's
   * shared-memory asynchrony does not, so Fig. 6 is reproduced by the local
   * engine):
   *  - [[SparkHIndexDecomposition.Sync]] — Paral: every edge recomputed from
-  *    the previous round's keys.
+  *    the previous round's values.
   *  - [[SparkHIndexDecomposition.Pruned]] — Paral+: Sync plus Lemma-4
-  *    active-set pruning via joins against the (h-1)-hop pair table (a
-  *    changed edge activates edges with an endpoint within h-1 hops of its
-  *    endpoints, only when its drop crosses their current value).
+  *    active-set pruning on the driver. A changed edge activates the edges
+  *    at the vertices within h-1 hops of its endpoints, only when its drop
+  *    crosses their current value.
+  *
+  * The deadline is checked on the driver before each job.
   */
 object SparkHIndexDecomposition {
 
@@ -45,73 +48,66 @@ object SparkHIndexDecomposition {
     */
   final case class Result(trussness: DataFrame, rounds: Int)
 
-  /** H-index of an ``array<int>`` column: on the descending array,
-    * H = |{i : x_i >= i + 1}|.
-    */
-  private def hIndexOf(values: Column): Column =
-    size(filter(sort_array(values, asc = false), (x, i) => x > i))
-
   /** Run the decomposition over a canonical edge DataFrame
     * (``src, dst, eid`` — see [[repro.graph.EdgeList]]).
     */
   def decompose(edges: DataFrame, h: Int, mode: Mode = Sync, maxRounds: Int = 10000,
                 deadlineNanos: Long = Long.MaxValue): Result = {
     require(h >= 1, s"need h >= 1, got $h")
-
-    // Static tables are eagerly localCheckpoint-ed (not just persisted): a
-    // checkpoint truncates the logical plan to a flat RDD scan, so the many
-    // per-round jobs that reference these tables serialize small task
-    // binaries instead of the whole construction lineage.
-    val e0 = edges.select("src", "dst", "eid").localCheckpoint().toDF("src", "dst", "eid")
-    val adj = repro.graph.EdgeList.oriented(e0).localCheckpoint().toDF("a", "b", "eid")
-    val pairs = HopNeighborhoods.hopDistances(e0, h).localCheckpoint().toDF("a", "b", "dist")
-    val common = HopNeighborhoods.commonNeighbors(e0, pairs)
-      .localCheckpoint().toDF("eid", "u", "v", "w")
-    // (h-1)-hop pairs for Lemma-4 activation; at h = 1 only distance 0
-    // (the identity, handled separately) qualifies.
-    val pairsHm1 = pairs.where(col("dist") <= h - 1).select("a", "b")
-      .localCheckpoint().toDF("a", "b")
-
-    // Current per-edge keys H^(n): (eid, src, dst, hval).
-    var hdf = e0.join(HSupport.distributed(e0, h, Some(pairs)), "eid")
-      .select(col("eid"), col("src"), col("dst"), col("sup") as "hval")
-      .localCheckpoint()
-      .toDF("eid", "src", "dst", "hval")
-
-    // Edges to recompute this round; null means "all edges".
-    var active: DataFrame = null
-    var rounds = 0
-    var done   = false
-    while (!done && rounds < maxRounds) {
-      Budget.check(deadlineNanos)
-      rounds += 1
-      val p = pathKeys(hdf, adj, h)
-      val target = if (active == null) common else common.join(active, Seq("eid"), "left_semi")
-      val recomputed = target.alias("c")
-        .join(p.alias("pu"), col("c.u") === col("pu.a") && col("c.w") === col("pu.b"))
-        .join(p.alias("pv"), col("c.v") === col("pv.a") && col("c.w") === col("pv.b"))
-        .groupBy(col("c.eid") as "eid")
-        .agg(hIndexOf(collect_list(least(col("pu.p"), col("pv.p")))) as "hnew")
-      // Edges with no recomputed value keep theirs: they are either inactive
-      // or have no common h-neighbor, hence support 0 (``least`` skips nulls).
-      // One eager checkpoint materializes the whole round pipeline once.
-      val next = hdf.join(recomputed, Seq("eid"), "left")
-        .select(col("eid"), col("src"), col("dst"), col("hval"),
-                least(col("hval"), col("hnew")) as "hnext")
-        .localCheckpoint()
-        .toDF("eid", "src", "dst", "hval", "hnext")
-      val changed = next.where(col("hnext") < col("hval"))
-        .select(col("eid"), col("src"), col("dst"), col("hval") as "hold", col("hnext") as "hnew")
-      hdf  = next.select(col("eid"), col("src"), col("dst"), col("hnext") as "hval")
-      done = changed.count() == 0
-      if (mode == Pruned && !done) {
-        active = activate(changed, pairsHm1, adj, hdf).localCheckpoint().toDF("eid")
-        done = active.count() == 0
+    val spark = edges.sparkSession
+    val sc    = spark.sparkContext
+    val g     = LocalGraph.fromDataFrame(edges)
+    val hop   = math.min(h, math.max(1, g.n - 1))
+    val graph = sc.broadcast(g)
+    try {
+      // One job over the edge ids ``ids``: the (edge, value) pairs for which
+      // ``kernel`` returns a value >= 0.
+      def job(ids: Seq[Int])(kernel: (LocalGraph, HopScratch, Int) => Int): Array[(Int, Int)] = {
+        Budget.check(deadlineNanos)
+        sc.parallelize(ids, sc.defaultParallelism).mapPartitions { it =>
+          val local   = graph.value
+          val scratch = new HopScratch(local)
+          it.map(e => (e, kernel(local, scratch, e))).filter(_._2 >= 0)
+        }.collect()
       }
-    }
 
-    val result = hdf.select(col("eid"), col("src"), col("dst"), (col("hval") + 2) as "trussness")
-    Result(result, rounds)
+      val values = new Array[Int](g.m)
+      for ((e, sup) <- job(0 until g.m)((local, s, e) => s.support(local.edgeSrc(e), local.edgeDst(e), hop, null)))
+        values(e) = sup
+
+      val walker = new HopScratch(g)
+      var active: Seq[Int] = 0 until g.m
+      var rounds = 0
+      var done   = false
+      while (!done && rounds < maxRounds) {
+        rounds += 1
+        val current = sc.broadcast(values)
+        val lowered =
+          try job(active) { (_, s, e) =>
+            val vs = current.value
+            val nh = s.computeHIndex(e, hop, vs, vs(e))
+            if (nh < vs(e)) nh else -1
+          } finally current.destroy()
+        val old = lowered.map { case (e, _) => values(e) }
+        for ((e, nh) <- lowered) values(e) = nh
+        done = lowered.isEmpty
+        if (mode == Pruned && !done) {
+          val next = new java.util.BitSet(g.m)
+          for (((e, nw), hold) <- lowered.zip(old); root <- Seq(g.edgeSrc(e), g.edgeDst(e)))
+            walker.forEachBallVertex(root, hop - 1, null) { z =>
+              for (p <- g.offsets(z) until g.offsets(z + 1)) {
+                val f = g.adjEdge(p)
+                if (nw < values(f) && values(f) <= hold) next.set(f)
+              }
+            }
+          active = ArraySeq.unsafeWrapArray(next.stream().toArray)
+          done = active.isEmpty
+        }
+      }
+
+      val rows = (0 until g.m).map(e => (g.eids(e), g.label(g.edgeSrc(e)), g.label(g.edgeDst(e)), values(e) + 2))
+      Result(spark.createDataFrame(rows).toDF("eid", "src", "dst", "trussness"), rounds)
+    } finally graph.destroy()
   }
 
   /** Hop-bounded maximin reachable-path keys: ``P(a, b)`` for all ordered
@@ -132,27 +128,5 @@ object SparkHIndexDecomposition {
       d += 1
     }
     p
-  }
-
-  /** Lemma-4 activation: edges with an endpoint within h-1 hops of a changed
-    * edge's endpoint, whose current value lies in the crossed interval
-    * ``(hnew, hold]``.
-    */
-  private[core] def activate(changedLog: DataFrame, pairsHm1: DataFrame,
-                             adj: DataFrame, hdf: DataFrame): DataFrame = {
-    val changedV = changedLog
-      .select(explode(array(col("src"), col("dst"))) as "cv", col("hold"), col("hnew"))
-    // Vertices within h-1 hops of a changed endpoint, plus the endpoint itself.
-    val reached = changedV
-      .join(pairsHm1, col("cv") === col("a"))
-      .select(col("b") as "av", col("hold"), col("hnew"))
-      .unionAll(changedV.select(col("cv") as "av", col("hold"), col("hnew")))
-    reached.alias("r")
-      .join(adj.alias("j"), col("r.av") === col("j.a"))
-      .select(col("j.eid") as "eid", col("r.hold") as "hold", col("r.hnew") as "hnew")
-      .join(hdf.select(col("eid"), col("hval")), Seq("eid"))
-      .where(col("hnew") < col("hval") && col("hval") <= col("hold"))
-      .select("eid")
-      .distinct()
   }
 }

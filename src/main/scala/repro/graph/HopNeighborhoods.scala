@@ -7,12 +7,10 @@ import org.apache.spark.sql.functions._
   * DataFrame, via iterative joins (level-synchronous distributed BFS).
   *
   * ``hopDistances`` materializes the table of vertex pairs within distance
-  * ``h`` together with their exact (minimal) distance — the static substrate
-  * for h-support computation, the common-h-neighbor table, and the Lemma-4
-  * activation joins of the Spark engine. For the graph scales evaluated in
-  * the paper (and our scaled analogues) the pair table is the dominant but
-  * tractable intermediate; it is computed once per ``(G, h)`` and cached by
-  * the engine.
+  * ``h`` together with their exact (minimal) distance — the substrate of
+  * the common-h-neighbor table and of [[repro.core.HSupport.distributed]].
+  * These joins are the SQL-checkable formulation of h-hops; the Spark
+  * engine does not use them (it runs the local kernel in its tasks).
   */
 object HopNeighborhoods {
 

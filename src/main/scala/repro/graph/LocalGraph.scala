@@ -14,7 +14,8 @@ import org.apache.spark.sql.DataFrame
   * the connecting edge (``adjEdge``) so per-edge key lookups during BFS are
   * O(1); each vertex's slice is strictly increasing by neighbor id. All
   * decomposition engines treat deletions via an ``alive`` bitmask
-  * rather than mutating the CSR.
+  * rather than mutating the CSR. The graph is ``Serializable``, so the
+  * Spark engine can broadcast it.
   */
 final class LocalGraph private (
     val n: Int,
@@ -25,7 +26,7 @@ final class LocalGraph private (
     val offsets: Array[Int],
     val adjVert: Array[Int],
     val adjEdge: Array[Int],
-) {
+) extends Serializable {
 
   /** Stable 64-bit edge ids (original labels), aligned with edge indices. */
   lazy val eids: Array[Long] = {

@@ -8,8 +8,9 @@ import org.scalatest.funsuite.AnyFunSuite
   *
   * Driver heap is set via ``Test / javaOptions`` in build.sbt from
   * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
-  * limit). Broadcast joins are disabled so the engines' joins exercise the
-  * shuffle path, as they would on graphs too large to broadcast.
+  * limit). Broadcast joins are disabled so the joins of ``HopNeighborhoods``
+  * and ``HSupport.distributed`` exercise the shuffle path, as they would on
+  * graphs too large to broadcast.
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared

@@ -1,11 +1,11 @@
 package repro.core
 
-import repro.{SparkSpec, TestGraphs}
+import repro.{NaiveReference, SparkSpec, TestGraphs}
 import repro.graph.{EdgeList, GraphGen, LocalGraph}
 import repro.core.{SparkHIndexDecomposition => S}
 
-/** The distributed DataFrame engine against the local baseline, across
-  * both update schedules (Sync / Pruned).
+/** The distributed engine against the local engines, across both update
+  * schedules (Sync / Pruned).
   */
 class SparkHIndexSpec extends SparkSpec {
 
@@ -15,9 +15,10 @@ class SparkHIndexSpec extends SparkSpec {
     (0 until g.m).map(e => g.eids(e) -> t(e)).toMap
   }
 
-  private def run(edges: Seq[(Int, Int)], h: Int, mode: S.Mode): (Map[Long, Int], Int) = {
+  private def run(edges: Seq[(Int, Int)], h: Int, mode: S.Mode,
+                  maxRounds: Int = 10000): (Map[Long, Int], Int) = {
     val df = EdgeList.fromPairs(spark, edges)
-    val r  = S.decompose(df, h, mode)
+    val r  = S.decompose(df, h, mode, maxRounds)
     val m  = r.trussness.collect().map(row => row.getLong(0) -> row.getInt(3)).toMap
     (m, r.rounds)
   }
@@ -80,5 +81,48 @@ class SparkHIndexSpec extends SparkSpec {
     val edges = GraphGen.chungLu(60, 140, 2.3, 57)
     val exp = expected(edges, 2)
     assert(run(edges, 2, S.Pruned)._1 == exp)
+  }
+
+  test("rounds cut at maxRounds 1..3 equal the local synchronous engine's (both modes)") {
+    for (edges <- Seq(TestGraphs.randomPool(2, 16, 550)(1), GraphGen.smallWorld(20, 4, 0.2, 10));
+         h <- 1 to 3; maxRounds <- 1 to 3) {
+      val g     = LocalGraph.fromEdges(edges)
+      val local = LocalHIndexDecomposition.decompose(g, h, LocalHIndexConfig(maxRounds = maxRounds))
+      val exp   = (0 until g.m).map(e => g.eids(e) -> local.trussness(e)).toMap
+      assert(run(edges, h, S.Sync, maxRounds) == (exp, local.rounds), s"h=$h maxRounds=$maxRounds")
+      // Lemma 4 skips only edges a Jacobi round would not change.
+      assert(run(edges, h, S.Pruned, maxRounds)._1 == exp, s"pruned h=$h maxRounds=$maxRounds")
+    }
+  }
+
+  test("a deadline that has passed raises Budget.Exceeded in both modes") {
+    val df = EdgeList.fromPairs(spark, TestGraphs.fig1Like)
+    for (mode <- Seq[S.Mode](S.Sync, S.Pruned))
+      intercept[Budget.Exceeded](S.decompose(df, 2, mode, deadlineNanos = System.nanoTime() - 1))
+  }
+
+  test("h = Int.MaxValue gives the baseline's trussness") {
+    val edges = GraphGen.smallWorld(40, 4, 0.1, 5)
+    val exp   = expected(edges, Int.MaxValue)
+    for (mode <- Seq[S.Mode](S.Sync, S.Pruned))
+      assert(run(edges, Int.MaxValue, mode)._1 == exp, mode.toString)
+  }
+
+  test("pathKeys equals the exhaustive maximin key for h = 1..3") {
+    val edges = GraphGen.chungLu(14, 26, 2.3, 61)
+    val g     = LocalGraph.fromEdges(edges)
+    val pairs = g.edgePairs
+    val key   = pairs.zipWithIndex.map { case (pair, e) => pair -> e * 7 % 5 }.toMap
+    val e0    = EdgeList.fromPairs(spark, edges)
+    val hdf   = spark.createDataFrame(key.toSeq.map { case ((u, v), k) => (EdgeList.eid(u, v), k) })
+      .toDF("eid", "hval")
+    val adj   = EdgeList.oriented(e0)
+    for (h <- 1 to 3) {
+      val got = S.pathKeys(hdf, adj, h).collect()
+        .map(r => (r.getInt(0), r.getInt(1)) -> r.getInt(2)).toMap
+      val exp = (for (u <- g.label; w <- g.label if u != w;
+                      k <- NaiveReference.maximinKey(pairs, key, u, w, h)) yield (u, w) -> k).toMap
+      assert(got == exp, s"h=$h")
+    }
   }
 }

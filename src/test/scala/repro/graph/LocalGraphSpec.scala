@@ -1,7 +1,7 @@
 package repro.graph
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.{NaiveReference, TestGraphs}
+import repro.{NaiveReference, SparkSpec, TestGraphs}
 
 /** CSR graph substrate: construction, degrees, BFS balls, common neighbors. */
 class LocalGraphSpec extends AnyFunSuite {
@@ -131,7 +131,16 @@ class LocalGraphSpec extends AnyFunSuite {
     }
   }
 
-  test("fromDataFrame round-trips through Spark") { /* covered in HopNeighborhoodsSpec */ }
+  test("fromDataFrame round-trips through Spark") {
+    for (pairs <- Seq(TestGraphs.fig1Like, TestGraphs.triPlusEdge, GraphGen.chungLu(40, 90, 2.3, 11))) {
+      val got    = LocalGraph.fromDataFrame(EdgeList.fromPairs(SparkSpec.shared, pairs))
+      val expect = LocalGraph.fromEdges(pairs)
+      assert(got.n == expect.n && got.m == expect.m)
+      assert(got.label.toSeq == expect.label.toSeq)
+      assert(got.edgeSrc.toSeq == expect.edgeSrc.toSeq && got.edgeDst.toSeq == expect.edgeDst.toSeq)
+      assert(got.eids.toSeq == expect.eids.toSeq)
+    }
+  }
 
   test("empty graph has zero edges and vertices") {
     val g = LocalGraph.fromEdges(Seq.empty)
