@@ -45,20 +45,6 @@ class BaselinePeelingSpec extends AnyFunSuite {
     for ((e, i) <- TestGraphs.randomPool(8, 16, 300).zipWithIndex) check(e, 3, s"rand$i")
   }
 
-  test("level sets of trussness equal BruteForce.khTruss on hand graphs (Lemma 1)") {
-    for (edges <- Seq(TestGraphs.twoCliquesBridge, TestGraphs.bowtie, TestGraphs.fig1Like);
-         h <- 1 to 2) {
-      val g = LocalGraph.fromEdges(edges)
-      val t = BaselinePeeling.trussness(g, h)
-      val all = new java.util.BitSet(g.m); all.set(0, g.m)
-      for (k <- 2 to (if (t.isEmpty) 2 else t.max)) {
-        val levelSet = new java.util.BitSet(g.m)
-        for (e <- 0 until g.m if t(e) >= k) levelSet.set(e)
-        assert(levelSet == BruteForce.khTruss(g, h, k, all), s"h=$h k=$k")
-      }
-    }
-  }
-
   test("disconnected graphs at h=2") {
     check(TestGraphs.triPlusEdge, 2, "disconnected")
     check(GraphGen.clique(4) ++ GraphGen.clique(5, offset = 10), 2, "two-cliques")

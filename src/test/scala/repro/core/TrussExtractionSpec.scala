@@ -1,16 +1,12 @@
 package repro.core
 
-import repro.{SparkSpec, TestGraphs}
-import repro.graph.{EdgeList, LocalGraph}
+import org.scalatest.funsuite.AnyFunSuite
+import repro.TestGraphs
+import repro.graph.LocalGraph
 
-/** (k,h)-truss retrieval from a completed decomposition. */
-class TrussExtractionSpec extends SparkSpec {
-
-  test("khTrussMask selects exactly the edges with trussness >= k") {
-    val t = Array(2, 3, 4, 4, 5)
-    val mask = TrussExtraction.khTrussMask(t, 4)
-    assert((0 until 5).filter(mask.get) == Seq(2, 3, 4))
-  }
+/** (k,h)-truss retrieval from a completed decomposition: by Lemma 1 it is the
+  * level set `trussness >= k`. */
+class TrussExtractionSpec extends AnyFunSuite {
 
   test("extracted truss equals BruteForce.khTruss on hand graphs") {
     for (edges <- Seq(TestGraphs.twoCliquesBridge, TestGraphs.bowtie, TestGraphs.fig1Like);
@@ -19,24 +15,10 @@ class TrussExtractionSpec extends SparkSpec {
       val t = BaselinePeeling.trussness(g, h)
       val all = new java.util.BitSet(g.m); all.set(0, g.m)
       for (k <- 2 to (if (t.isEmpty) 2 else t.max)) {
-        assert(TrussExtraction.khTrussMask(t, k) == BruteForce.khTruss(g, h, k, all),
-               s"h=$h k=$k")
+        val levelSet = new java.util.BitSet(g.m)
+        for (e <- 0 until g.m if t(e) >= k) levelSet.set(e)
+        assert(levelSet == BruteForce.khTruss(g, h, k, all), s"h=$h k=$k")
       }
     }
-  }
-
-  test("khTrussEdges returns original labels") {
-    val g = LocalGraph.fromEdges(TestGraphs.twoCliquesBridge)
-    val t = BaselinePeeling.trussness(g, 1)
-    val truss4 = TrussExtraction.khTrussEdges(g, t, 4).toSet
-    assert(truss4 == (TestGraphs.twoCliquesBridge.toSet - ((3, 4))))
-  }
-
-  test("khTrussDf filters the distributed result identically") {
-    val df = EdgeList.fromPairs(spark, TestGraphs.twoCliquesBridge)
-    val r  = SparkHIndexDecomposition.decompose(df, 1)
-    val got = TrussExtraction.khTrussDf(r.trussness, 4).collect()
-      .map(row => (row.getInt(1), row.getInt(2))).toSet
-    assert(got == (TestGraphs.twoCliquesBridge.toSet - ((3, 4))))
   }
 }
