@@ -13,12 +13,16 @@ import repro.graph.{DatasetSpec, Datasets, LocalGraph}
   */
 object Harness {
 
-  /** One measurement: wall time (None = exceeded budget → INF) and, for the
-    * H-index engines, the rounds-to-convergence count (the Fig. 6 metric).
+  /** One measurement: wall time (None = exceeded budget → INF), for the
+    * H-index engines the rounds-to-convergence count (the Fig. 6 metric),
+    * and whether the run converged. A run that stopped at its round limit
+    * short of the fixpoint prints NC in place of a time or round count.
     */
-  final case class Measured(millis: Option[Double], rounds: Option[Int]) {
-    def timeCell: String   = millis.map(ms => f"$ms%.0f").getOrElse("INF")
-    def roundsCell: String = rounds.map(_.toString).getOrElse("-")
+  final case class Measured(millis: Option[Double], rounds: Option[Int], converged: Boolean = true) {
+    def timeCell: String   = if (converged) millis.map(ms => f"$ms%.0f").getOrElse("INF") else "NC"
+    def roundsCell: String = if (converged) rounds.map(_.toString).getOrElse("-") else "NC"
+    /** Wall time of a run that finished within budget and converged. */
+    def answerMillis: Option[Double] = millis.filter(_ => converged)
   }
 
   private def isBudget(t: Throwable, depth: Int = 0): Boolean =
@@ -28,12 +32,16 @@ object Harness {
   /** Time ``f`` under ``budgetMs``; ``f`` receives the absolute deadline and
     * returns an optional round count.
     */
-  def run(budgetMs: Long)(f: Long => Option[Int]): Measured = {
+  def run(budgetMs: Long)(f: Long => Option[Int]): Measured =
+    runEngine(budgetMs)(dl => (f(dl), true))
+
+  /** [[run]] for an engine that also returns whether it converged. */
+  def runEngine(budgetMs: Long)(f: Long => (Option[Int], Boolean)): Measured = {
     val dl = Budget.deadline(budgetMs)
     val t0 = System.nanoTime()
     try {
-      val rounds = f(dl)
-      Measured(Some((System.nanoTime() - t0) / 1e6), rounds)
+      val (rounds, converged) = f(dl)
+      Measured(Some((System.nanoTime() - t0) / 1e6), rounds, converged)
     } catch {
       case e: Throwable if isBudget(e) => Measured(None, None)
     }
@@ -46,19 +54,19 @@ object Harness {
   /** Local engine variant (Single/Paral/Asyn/Paral+ by config). */
   def runLocal(g: LocalGraph, h: Int, threads: Int, async: Boolean,
                pruning: Boolean, budgetMs: Long): Measured =
-    run(budgetMs) { dl =>
+    runEngine(budgetMs) { dl =>
       val r = LocalHIndexDecomposition.decompose(
         g, h, LocalHIndexConfig(threads, async, pruning, deadlineNanos = dl))
-      Some(r.rounds)
+      (Some(r.rounds), r.converged)
     }
 
   /** Spark dataflow engine variant. */
   def runSpark(spark: SparkSession, ds: DatasetSpec, h: Int,
                mode: SparkHIndexDecomposition.Mode, budgetMs: Long): Measured =
-    run(budgetMs) { dl =>
+    runEngine(budgetMs) { dl =>
       val r = SparkHIndexDecomposition.decompose(ds.edgesDf(spark), h, mode, deadlineNanos = dl)
       r.trussness.count() // materialize the full result
-      Some(r.rounds)
+      (Some(r.rounds), r.converged)
     }
 
   // ---------------------------------------------------------------- tables
@@ -128,6 +136,7 @@ object Harness {
       val paralP = runLocal(g, h, threads, async = true, pruning = true, budgetMs)
       val (sp, spp) =
         if (ds.code == "YT" && h == hs.min) {
+          warmupSpark(spark)
           val b  = budgetMs * SparkBudgetFactor
           val s1 = runSpark(spark, ds, h, SparkHIndexDecomposition.Sync, b)
           val s2 = runSpark(spark, ds, h, SparkHIndexDecomposition.Pruned, b)
@@ -139,10 +148,12 @@ object Harness {
   val efficiencyHeader: Seq[String] =
     Seq("dataset", "h", "Base ms", "Paral ms", "Paral+ ms", "Spark-Paral ms", "Spark-Paral+ ms")
 
-  /** Figure 4's shape check: Paral+ never hits INF where Base finished. */
+  /** Figure 4's shape check: Paral+ never hits INF (or NC) where Base
+    * finished.
+    */
   def efficiencyViolations(rows: Seq[Seq[String]]): Seq[String] =
-    rows.collect { case r if r(4) == "INF" && r(2) != "INF" =>
-      s"${r(0)} h=${r(1)}: Paral+ INF while Base finished" }
+    rows.collect { case r if (r(4) == "INF" || r(4) == "NC") && r(2) != "INF" =>
+      s"${r(0)} h=${r(1)}: Paral+ ${r(4)} while Base finished" }
 
   /** Figure 5's thread counts: 1, 2, 4, 8, 16 up to ``cores``, then ``cores``. */
   def speedupThreads(cores: Int): Seq[Int] =
@@ -155,15 +166,11 @@ object Harness {
                   budgetMs: Long): Seq[Seq[String]] =
     for (ds <- datasets; h <- hs) yield {
       val g = ds.localGraph
-      val times = threadCounts.map { t =>
-        runLocal(g, h, t, async = false, pruning = false, budgetMs).millis
-      }
-      val single = times.head
-      val cells = threadCounts.indices.flatMap { i =>
-        val ms = times(i)
-        val speedup = for (s <- single; m <- ms) yield s / m
-        Seq(ms.map(v => f"$v%.0f").getOrElse("INF"),
-            speedup.map(v => f"$v%.2f").getOrElse("-"))
+      val runs = threadCounts.map(t => runLocal(g, h, t, async = false, pruning = false, budgetMs))
+      val single = runs.head.answerMillis
+      val cells = runs.flatMap { run =>
+        val speedup = for (s <- single; m <- run.answerMillis) yield s / m
+        Seq(run.timeCell, speedup.map(v => f"$v%.2f").getOrElse("-"))
       }
       Seq(ds.code, h.toString) ++ cells
     }
@@ -192,25 +199,38 @@ object Harness {
 
   val asyncHeader: Seq[String] = Seq("dataset", "h", "Paral rounds", "Asyn rounds")
 
-  /** Figure 6's shape check, over the rows where both variants finished:
-    * Asyn needs at most one round more than Paral on every row, and fewer
-    * on some row.
+  /** Figure 6's shape check, over the rows where both variants finished
+    * and converged: Asyn needs at most one round more than Paral on every
+    * row, and fewer on some row.
     */
   def asyncViolations(rows: Seq[Seq[String]]): Seq[String] = {
-    val finished = rows.filter(r => r(2) != "-" && r(3) != "-")
+    val finished = rows.filter(r => r(2).toIntOption.isDefined && r(3).toIntOption.isDefined)
     val worse = finished.collect { case r if r(3).toInt > r(2).toInt + 1 =>
       s"${r(0)} h=${r(1)}: Asyn took ${r(3)} rounds, Paral ${r(2)}" }
     if (finished.exists(r => r(3).toInt < r(2).toInt)) worse
     else worse :+ "Asyn never took fewer rounds than Paral"
   }
 
-  /** One small decomposition per engine to JIT-warm hot paths before
+  /** The small graph the warm-ups decompose. */
+  private def warmupEdges: Seq[(Int, Int)] = repro.graph.GraphGen.smallWorld(200, 6, 0.1, 7)
+
+  /** One small decomposition per local engine to JIT-warm hot paths before
     * measuring (the paper averages 10 runs; we warm up and run once).
     */
   def warmup(): Unit = {
-    val g = LocalGraph.fromEdges(repro.graph.GraphGen.smallWorld(200, 6, 0.1, 7))
+    val g = LocalGraph.fromEdges(warmupEdges)
     BaselinePeeling.trussness(g, 2)
     LocalHIndexDecomposition.decompose(g, 2, LocalHIndexConfig(threads = 4))
     ()
+  }
+
+  /** One small decomposition in each Spark mode, so that the first timed
+    * Spark cell does not pay for the session's and the JIT's warm-up. Run
+    * only before a Spark cell, so tables without one start no session.
+    */
+  def warmupSpark(spark: SparkSession): Unit = {
+    val edges = repro.graph.EdgeList.fromPairs(spark, warmupEdges)
+    for (mode <- Seq(SparkHIndexDecomposition.Sync, SparkHIndexDecomposition.Pruned))
+      SparkHIndexDecomposition.decompose(edges, 2, mode).trussness.count()
   }
 }

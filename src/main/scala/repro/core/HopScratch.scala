@@ -54,14 +54,13 @@ final class BallIndex(val h: Int, ballSize: Array[Int]) {
   * Algorithm 3's order-n value of ``e = (u, v)`` depends only on the
   * maximin keys of ``u`` and ``v``, so every round runs over a
   * [[BallIndex]] that stores each vertex's keys: [[storeKeys]] rewrites one
-  * vertex's keys and [[storeHIndices]] combines the keys of each edge's
-  * endpoints. A synchronous round first rewrites the stale keys it needs,
-  * then combines stored keys. An asynchronous round rebuilds each source's
-  * keys from the live values and rewrites a stale destination's keys on
-  * first use. [[computeHIndex]] is the single-edge kernel: it rebuilds
-  * both endpoints' keys by BFS and DP and needs no index. The Spark
-  * engine's tasks run it, and the tests hold the local engine's indexed
-  * rounds to it.
+  * vertex's keys and [[storeHIndices]], a round's one edge phase, combines
+  * the keys of each edge's endpoints. It rewrites each stale key it meets
+  * on first use; an asynchronous round also rebuilds each source's keys
+  * from the live values. [[computeHIndex]] is the single-edge kernel: it
+  * rebuilds both endpoints' keys by BFS and DP and needs no index. The
+  * Spark engine's tasks run it, and the tests hold the local engine's
+  * indexed rounds to it.
   *
   * Both maximin DPs make at most ``h`` sweeps, and sweep ``d`` relaxes only
   * the BFS-order prefix at distance ``<= d + 1``, pushing from the prefix
@@ -305,21 +304,24 @@ final class HopScratch(g: LocalGraph) {
   }
 
   /** Edge phase of round ``round`` over the edges ``from until until`` that
-    * ``active`` holds: [[computeHIndex]] of each edge ``e = (u, v)`` with cap
-    * ``hval(e)``, from the keys of its endpoints; calls ``lower(e, value)``
-    * where the value is below the cap. Edges are sorted by source, so
-    * ``u``'s keys are put in a dense buffer once per run of its edges; each
-    * edge then scans ``v``'s stored keys.
+    * ``active`` holds: [[computeHIndex]] of each edge ``e = (u, v)`` over
+    * the values ``hval`` with cap ``hval(e)``, from the keys of its
+    * endpoints; sets ``out(e)`` to the value where it is below the cap.
+    * Edges are sorted by source, so ``u``'s keys are put in a dense buffer
+    * once per run of its edges; each edge then scans ``v``'s stored keys,
+    * rewritten first from ``hval`` if they are [[BallIndex.stale]].
     *
-    * A synchronous round (``live = false``) loads ``u``'s keys from the
-    * store, where its vertex phase left them fresh. An asynchronous round
-    * (``live = true``) rebuilds them from the live values and stores them,
-    * and rewrites ``v``'s stored keys first if they are [[BallIndex.stale]].
-    * Other threads may be rewriting the keys it reads; since values only
-    * fall, every key read is at least the key of the current values.
+    * A synchronous round reads the round-start copy of the values and
+    * writes ``out``, a different array; an asynchronous round (``live =
+    * true``) reads and writes the live values. ``u``'s keys are rebuilt
+    * from ``hval`` and stored if the round is live or they are stale, and
+    * loaded from the store otherwise. Other threads may be rewriting the
+    * keys read here: under a synchronous round they write the same keys,
+    * and since values only fall, under an asynchronous one every key read
+    * is at least the key of the current values.
     */
   def storeHIndices(index: BallIndex, from: Int, until: Int, active: java.util.BitSet, hval: Array[Int],
-                    round: Int, live: Boolean, lower: (Int, Int) => Unit): Unit = {
+                    out: Array[Int], round: Int, live: Boolean): Unit = {
     val vert = index.ballVert
     val keys = index.keys
     var keyU   = keyU1
@@ -330,7 +332,7 @@ final class HopScratch(g: LocalGraph) {
         val u = g.edgeSrc(e)
         if (u != loaded) {
           if (loaded >= 0) resetKeys(vert, index.start(loaded), index.end(loaded), keyU1, keyU2)
-          if (live) keyU = buildKeys(u, index, hval, round, keyU1, keyU2)
+          if (live || index.stale(u)) keyU = buildKeys(u, index, hval, round, keyU1, keyU2)
           else {
             var j = index.start(u)
             val end = index.end(u)
@@ -340,7 +342,7 @@ final class HopScratch(g: LocalGraph) {
           loaded = u
         }
         val v = g.edgeDst(e)
-        if (live && index.stale(v)) storeKeys(v, index, hval, round)
+        if (index.stale(v)) storeKeys(v, index, hval, round)
         var n = 0
         var j = index.start(v) + 1
         val end = index.end(v)
@@ -355,7 +357,7 @@ final class HopScratch(g: LocalGraph) {
           j += 1
         }
         val nh = hIndexOfContribs(n, hval(e))
-        if (nh < hval(e)) lower(e, nh)
+        if (nh < hval(e)) out(e) = nh
       }
       e += 1
     }

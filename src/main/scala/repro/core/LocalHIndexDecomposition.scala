@@ -9,11 +9,13 @@ import repro.graph.LocalGraph
   * the Section 4.3 optimizations), mirroring the paper's OpenMP setting.
   *
   * Every round runs over a [[BallIndex]] built once per decomposition,
-  * which stores each vertex's maximin keys; a round rewrites only the keys
-  * it needs that are stale. After each round, a walk from the endpoints of
-  * the changed edges marks stale the keys those changes enter (the vertices
-  * within h-1 hops of them). A graph whose index would take more than a
-  * quarter of the maximum heap is rejected before the index is allocated.
+  * which stores each vertex's maximin keys. A round is one parallel edge
+  * phase ([[HopScratch.storeHIndices]]), which rewrites only the keys it
+  * needs that are stale, followed by a walk from the endpoints of the
+  * changed edges that marks stale the keys those changes enter (the
+  * vertices within h-1 hops of them). A graph whose index would take more
+  * than a quarter of the maximum heap is rejected before the index is
+  * allocated.
   * [[HopScratch.computeHIndex]], which rebuilds both endpoints' keys for
   * one edge, is the Spark engine's kernel and the reference the tests hold
   * these rounds to; no round here calls it.
@@ -22,11 +24,9 @@ import repro.graph.LocalGraph
   *  - '''Single''': ``threads = 1, async = false, pruning = false``
   *  - '''Paral''':  ``threads = T, async = false, pruning = false`` —
   *    synchronous rounds; every edge's order-n value is computed from the
-  *    order-(n-1) values. A synchronous round is two parallel phases: the
-  *    vertex phase rewrites the stale keys of every endpoint of an active
-  *    edge, reading the order-(n-1) values, and the edge phase combines
-  *    each edge's two stored key vectors, so no snapshot of the values is
-  *    taken.
+  *    order-(n-1) values, which each round copies before its edge phase
+  *    and reads from that copy. The edge phase rewrites the stale keys it
+  *    meets from the copy and loads the rest from the index.
   *  - '''Asyn''':   ``async = true`` — threads read the live shared value
   *    array, so later edges in a round see already-updated same-round values
   *    (Section 4.1 shows this preserves monotonicity and the fixpoint). The
@@ -37,8 +37,7 @@ import repro.graph.LocalGraph
   *    edges none of whose dependencies changed in a way that can lower their
   *    value (Lemma 4: a drop of e' from old to new affects H(e) only when
   *    ``new < H(e) <= old``). The end-of-round walk activates those edges.
-  *    With ``async = false`` the pruned rounds are synchronous, and their
-  *    vertex phase covers only the endpoints of the active edges.
+  *    With ``async = false`` the pruned rounds are synchronous.
   *
   * Every parallel loop, the walk included, hands out fixed-size slices of
   * edges, vertices or walk roots from a shared cursor. The maximin DPs
@@ -46,8 +45,10 @@ import repro.graph.LocalGraph
   * first sweep that changes no key (see [[HopScratch]]).
   *
   * Determinism: the final trussness vector is the unique fixpoint and is
-  * identical across variants and thread counts; only the round count of the
-  * async variants may vary with scheduling.
+  * identical across variants and thread counts. Synchronous rounds are
+  * Jacobi steps, so their values and round counts are too, at every
+  * ``maxRounds``; only the round count of the async variants may vary with
+  * scheduling.
   */
 final case class LocalHIndexConfig(
     threads: Int = 1,
@@ -57,11 +58,13 @@ final case class LocalHIndexConfig(
     deadlineNanos: Long = Long.MaxValue,
 )
 
-/** Result of a decomposition run: per-edge h-trussness (CSR edge order) and
-  * the number of full sweeps until convergence (the paper's Fig. 6 metric;
-  * includes the final no-change sweep for the unpruned variants).
+/** Result of a decomposition run: per-edge h-trussness (CSR edge order),
+  * the number of full sweeps run (the paper's Fig. 6 metric; includes the
+  * final no-change sweep for the unpruned variants) and whether the values
+  * reached the fixpoint. A run cut at ``maxRounds`` before that has
+  * ``converged = false``, and its values are upper bounds, not trussness.
   */
-final case class LocalHIndexResult(trussness: Array[Int], rounds: Int)
+final case class LocalHIndexResult(trussness: Array[Int], rounds: Int, converged: Boolean)
 
 object LocalHIndexDecomposition {
 
@@ -72,21 +75,6 @@ object LocalHIndexDecomposition {
     * a class rather than a ``Function3``, whose ``Int`` arguments are boxed.
     */
   private abstract class SliceBody { def apply(t: Int, from: Int, until: Int): Unit }
-
-  /** Growable list of (edge, value) pairs, reused across rounds. */
-  private final class EdgeLog {
-    var edges  = new Array[Int](64)
-    var values = new Array[Int](64)
-    var size   = 0
-
-    def add(e: Int, x: Int): Unit = {
-      if (size == edges.length) {
-        edges = java.util.Arrays.copyOf(edges, 2 * size)
-        values = java.util.Arrays.copyOf(values, 2 * size)
-      }
-      edges(size) = e; values(size) = x; size += 1
-    }
-  }
 
   /** Longest array the JVM allocates. */
   private val MaxArray = Int.MaxValue - 8
@@ -104,7 +92,7 @@ object LocalHIndexDecomposition {
     require(hop >= 1, s"need h >= 1, got $hop")
     require(config.threads >= 1, s"need threads >= 1, got ${config.threads}")
     val m = g.m
-    if (m == 0) return LocalHIndexResult(new Array[Int](0), 0)
+    if (m == 0) return LocalHIndexResult(new Array[Int](0), 0, converged = true)
     // No shortest path, and no maximin key's best path, has more than n - 1
     // hops, so a larger h changes no ball and no value.
     val h = math.min(hop, math.max(1, g.n - 1))
@@ -162,20 +150,17 @@ object LocalHIndexDecomposition {
       forAll(g.n)((t, v) => scratches(t).fillBall(v, index))
 
       // Order-0 values: h-supports, computed in parallel (Alg. 2 lines 1-3).
-      val hcur = new Array[Int](m)
+      // Each round starts by copying the values into hprev. A synchronous
+      // round reads that copy, an asynchronous one the live values in hcur;
+      // both write the lowered values into hcur.
+      val hcur  = new Array[Int](m)
+      val hprev = new Array[Int](m)
       forSlices(m)((t, from, until) => scratches(t).storeSupports(index, from, until, hcur))
+      val read = if (config.async) hcur else hprev
 
-      // Per-thread state, reused across rounds: the change log of (edge,
-      // old value) pairs, the edges the thread's share of the Lemma-4 walk
-      // activates, and the callback that lowers a value.
-      val logs   = Array.fill(nThreads)(new EdgeLog)
-      val nexts  = Array.fill(nThreads)(new java.util.BitSet(m))
-      val lowers = Array.tabulate[(Int, Int) => Unit](nThreads) { t =>
-        (e, nh) => { logs(t).add(e, hcur(e)); hcur(e) = nh }
-      }
-      // Per-round vertex sets, reused: endpoints of active edges; roots of
-      // the end-of-round walk with their merged drops.
-      val needed  = new java.util.BitSet(g.n)
+      // Reused across rounds: the edges each thread's share of the Lemma-4
+      // walk activates, and the roots of the walk with their merged drops.
+      val nexts   = Array.fill(nThreads)(new java.util.BitSet(m))
       val rootSet = new java.util.BitSet(g.n)
       val roots   = new Array[Int](g.n)
       val oldMax  = new Array[Int](g.n)
@@ -187,49 +172,41 @@ object LocalHIndexDecomposition {
       while (!done && rounds < config.maxRounds) {
         rounds += 1
         val round = rounds
-        logs.foreach(_.size = 0)
-        if (!config.async) {
-          // Vertex phase: rewrite the stale keys of every endpoint of an
-          // active edge from the previous round's values; the edge phase
-          // below only reads them.
-          needed.clear()
-          var e = active.nextSetBit(0)
-          while (e >= 0) { needed.set(g.edgeSrc(e)); needed.set(g.edgeDst(e)); e = active.nextSetBit(e + 1) }
-          forAll(g.n)((t, v) => if (needed.get(v) && index.stale(v)) scratches(t).storeKeys(v, index, hcur, round))
-        }
+        System.arraycopy(hcur, 0, hprev, 0, m)
         forSlices(m) { (t, from, until) =>
-          scratches(t).storeHIndices(index, from, until, active, hcur, round, config.async, lowers(t))
+          scratches(t).storeHIndices(index, from, until, active, read, hcur, round, config.async)
         }
-        val changed = logs.map(_.size).sum
-        if (changed > 0) {
-          // End-of-round walk from every endpoint of a changed edge e' over
-          // the vertices within h-1 hops of it, whose keys e' enters: their
-          // stored keys become stale and, under pruning, Lemma 4 activates
-          // the edges there whose current value the drop crossed (new < H(f)
-          // <= old). Changed edges sharing a root vertex are merged (max
-          // old, min new) before the walk — a sound conservative superset
-          // that turns O(|changed|) ball walks into O(|distinct roots|),
-          // which matters on hub-heavy graphs where one vertex carries
-          // thousands of changed edges.
-          for (log <- logs) {
-            var i = 0
-            while (i < log.size) {
-              val ePrime = log.edges(i)
-              val old    = log.values(i)
-              val nw     = hcur(ePrime)
-              var side = 0
-              while (side < 2) {
-                val root = if (side == 0) g.edgeSrc(ePrime) else g.edgeDst(ePrime)
-                if (!rootSet.get(root)) { rootSet.set(root); oldMax(root) = old; newMin(root) = nw }
-                else {
-                  if (old > oldMax(root)) oldMax(root) = old
-                  if (nw < newMin(root)) newMin(root) = nw
-                }
-                side += 1
+        // The changed edges e' are the active edges whose value fell from
+        // old = hprev(e') to new = hcur(e'). The end-of-round walk runs
+        // from both endpoints of each over the vertices within h-1 hops,
+        // whose keys e' enters: their stored keys become stale and, under
+        // pruning, Lemma 4 activates the edges there whose current value
+        // the drop crossed (new < H(f) <= old). Changed edges sharing a
+        // root vertex are merged (max old, min new) before the walk — a
+        // sound conservative superset that turns O(|changed|) ball walks
+        // into O(|distinct roots|), which matters on hub-heavy graphs where
+        // one vertex carries thousands of changed edges.
+        var changed = false
+        var e = active.nextSetBit(0)
+        while (e >= 0) {
+          val old = hprev(e)
+          val nw  = hcur(e)
+          if (nw != old) {
+            changed = true
+            var side = 0
+            while (side < 2) {
+              val root = if (side == 0) g.edgeSrc(e) else g.edgeDst(e)
+              if (!rootSet.get(root)) { rootSet.set(root); oldMax(root) = old; newMin(root) = nw }
+              else {
+                if (old > oldMax(root)) oldMax(root) = old
+                if (nw < newMin(root)) newMin(root) = nw
               }
-              i += 1
+              side += 1
             }
           }
+          e = active.nextSetBit(e + 1)
+        }
+        if (changed) {
           var nRoots = 0
           var root   = rootSet.nextSetBit(0)
           while (root >= 0) { roots(nRoots) = root; nRoots += 1; root = rootSet.nextSetBit(root + 1) }
@@ -249,10 +226,10 @@ object LocalHIndexDecomposition {
           for (next <- nexts) { active.or(next); next.clear() }
           done = active.isEmpty
         } else {
-          done = changed == 0
+          done = !changed
         }
       }
-      LocalHIndexResult(hcur.map(_ + 2), rounds)
+      LocalHIndexResult(hcur.map(_ + 2), rounds, converged = done)
     } finally pool.shutdown()
   }
 }

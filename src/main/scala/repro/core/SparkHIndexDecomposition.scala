@@ -31,7 +31,8 @@ import repro.graph.LocalGraph
   *    at the vertices within h-1 hops of its endpoints, only when its drop
   *    crosses their current value.
   *
-  * The deadline is checked on the driver before each job.
+  * The deadline is checked on the driver before each job. An empty graph
+  * runs no job after the edge collect and reports 0 rounds.
   */
 object SparkHIndexDecomposition {
 
@@ -43,10 +44,11 @@ object SparkHIndexDecomposition {
   case object Pruned extends Mode
 
   /** Decomposition output: ``trussness`` with schema
-    * ``(eid BIGINT, src INT, dst INT, trussness INT)`` and the number of
-    * rounds to convergence.
+    * ``(eid BIGINT, src INT, dst INT, trussness INT)``, the number of
+    * rounds run and whether the values reached the fixpoint; a run cut at
+    * ``maxRounds`` before that has ``converged = false``.
     */
-  final case class Result(trussness: DataFrame, rounds: Int)
+  final case class Result(trussness: DataFrame, rounds: Int, converged: Boolean)
 
   /** Run the decomposition over a canonical edge DataFrame
     * (``src, dst, eid`` — see [[repro.graph.EdgeList]]).
@@ -54,9 +56,15 @@ object SparkHIndexDecomposition {
   def decompose(edges: DataFrame, h: Int, mode: Mode = Sync, maxRounds: Int = 10000,
                 deadlineNanos: Long = Long.MaxValue): Result = {
     require(h >= 1, s"need h >= 1, got $h")
-    val spark = edges.sparkSession
-    val sc    = spark.sparkContext
-    val g     = LocalGraph.fromDataFrame(edges)
+    val spark  = edges.sparkSession
+    val sc     = spark.sparkContext
+    val g      = LocalGraph.fromDataFrame(edges)
+    val values = new Array[Int](g.m)
+    def result(rounds: Int, converged: Boolean): Result = {
+      val rows = (0 until g.m).map(e => (g.eids(e), g.label(g.edgeSrc(e)), g.label(g.edgeDst(e)), values(e) + 2))
+      Result(spark.createDataFrame(rows).toDF("eid", "src", "dst", "trussness"), rounds, converged)
+    }
+    if (g.m == 0) return result(0, converged = true)
     val hop   = math.min(h, math.max(1, g.n - 1))
     val graph = sc.broadcast(g)
     try {
@@ -71,7 +79,6 @@ object SparkHIndexDecomposition {
         }.collect()
       }
 
-      val values = new Array[Int](g.m)
       for ((e, sup) <- job(0 until g.m)((local, s, e) => s.support(local.edgeSrc(e), local.edgeDst(e), hop, null)))
         values(e) = sup
 
@@ -105,8 +112,7 @@ object SparkHIndexDecomposition {
         }
       }
 
-      val rows = (0 until g.m).map(e => (g.eids(e), g.label(g.edgeSrc(e)), g.label(g.edgeDst(e)), values(e) + 2))
-      Result(spark.createDataFrame(rows).toDF("eid", "src", "dst", "trussness"), rounds)
+      result(rounds, converged = done)
     } finally graph.destroy()
   }
 

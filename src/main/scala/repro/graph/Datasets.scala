@@ -57,10 +57,4 @@ object Datasets {
 
   /** All six datasets in the paper's Table 1 order. */
   val all: Seq[DatasetSpec] = Seq(YT, VL, SC, GA, AM, AN)
-
-  /** Lookup by two-letter code (case-insensitive). */
-  def byCode(code: String): DatasetSpec =
-    all.find(_.code.equalsIgnoreCase(code))
-      .getOrElse(throw new IllegalArgumentException(
-        s"unknown dataset '$code'; expected one of ${all.map(_.code).mkString(", ")}"))
 }

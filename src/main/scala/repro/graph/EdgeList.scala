@@ -16,9 +16,6 @@ object EdgeList {
   /** Deterministic edge id for a canonical pair ``u < v``. */
   def eid(u: Int, v: Int): Long = (u.toLong << 32) | (v.toLong & 0xffffffffL)
 
-  /** Inverse of [[eid]]: recover the canonical ``(src, dst)`` pair. */
-  def endpoints(id: Long): (Int, Int) = ((id >>> 32).toInt, id.toInt)
-
   /** Canonicalize an arbitrary ``(src, dst)`` DataFrame: orient edges as
     * ``src < dst``, drop self-loops and duplicates, and attach ``eid``.
     */
@@ -46,13 +43,4 @@ object EdgeList {
     val bwd = edges.select(col("dst") as "a", col("src") as "b", col("eid"))
     fwd.unionAll(bwd)
   }
-
-  /** Vertex table ``(v INT)`` of all endpoints. */
-  def vertices(edges: DataFrame): DataFrame =
-    edges.select(col("src") as "v").unionAll(edges.select(col("dst") as "v")).distinct()
-
-  /** Degrees ``(v, degree)`` of all endpoint vertices. */
-  def degrees(edges: DataFrame): DataFrame =
-    oriented(edges).groupBy(col("a") as "v").agg(count(lit(1)) as "degree")
-      .select(col("v"), col("degree"))
 }

@@ -33,6 +33,17 @@ class HarnessSpec extends AnyFunSuite {
     assert(m.millis.isEmpty)
   }
 
+  test("a run that did not converge prints NC and leaves the shape checks") {
+    val m = Harness.runEngine(10000) { _ => (Some(1), false) }
+    assert(m.millis.isDefined && !m.converged)
+    assert(m.timeCell == "NC" && m.roundsCell == "NC" && m.answerMillis.isEmpty)
+    assert(Harness.run(10000) { _ => Some(3) }.converged)
+    val rows = Seq(Seq("YT", "2", "5", "4"), Seq("VL", "2", "NC", "9"))
+    assert(Harness.asyncViolations(rows).isEmpty)
+    assert(Harness.efficiencyViolations(Seq(Seq("GA", "3", "800", "90", "NC", "-", "-"))) ==
+      Seq("GA h=3: Paral+ NC while Base finished"))
+  }
+
   test("non-budget exceptions propagate") {
     intercept[IllegalStateException] {
       Harness.run(1000) { _ => throw new IllegalStateException("boom") }

@@ -128,7 +128,7 @@ class LocalHIndexSpec extends AnyFunSuite {
         val pair = (g.label(g.edgeSrc(e)), g.label(g.edgeDst(e)))
         assert(math.min(got, sup(e)) == expect(pair), s"seed=$seed h=$h e=$pair")
       }
-      // The engine's synchronous round: vertex phase, then edge phase.
+      // The engine's synchronous round: one edge phase over the round-start copy.
       for (t <- Seq(1, 4)) {
         val r = LocalHIndexDecomposition.decompose(g, h, LocalHIndexConfig(threads = t, maxRounds = 1))
         for (e <- 0 until g.m) {
@@ -162,29 +162,37 @@ class LocalHIndexSpec extends AnyFunSuite {
       val fresh   = Array.tabulate(g.m)(e => scratch.computeHIndex(e, h, hvalNew, hvalNew(e)))
       for (e <- 0 until g.m) assert(fresh(e) >= tau(e) - 2, s"graph$i h=$h e=$e")
       val all = new java.util.BitSet(g.m); all.set(0, g.m)
-      for (stale <- Seq(false, true)) {
-        // Keys stored from hvalOld in round 1; round 2 reads hvalNew live.
-        // Marking every vertex touched in round 1 makes every key stale.
+      for (stale <- Seq(false, true); live <- Seq(false, true)) {
+        // Keys stored from hvalOld in round 1; round 2 reads hvalNew, live
+        // (asynchronous) or as a synchronous round's copy. Marking every
+        // vertex touched in round 1 makes every key stale.
         val index = ballIndex(g, h)
         for (v <- 0 until g.n) scratch.storeKeys(v, index, hvalOld, 1)
         if (stale) java.util.Arrays.fill(index.touched, 1)
         val got = hvalNew.clone()
-        scratch.storeHIndices(index, 0, g.m, all, hvalNew, 2, live = true, (e, nh) => got(e) = nh)
+        scratch.storeHIndices(index, 0, g.m, all, hvalNew, got, 2, live)
         for (e <- 0 until g.m) {
-          if (stale) assert(got(e) == fresh(e), s"graph$i h=$h e=$e (refreshed keys)")
-          else assert(got(e) >= fresh(e), s"graph$i h=$h e=$e (stale keys)")
+          if (stale) assert(got(e) == fresh(e), s"graph$i h=$h live=$live e=$e (refreshed keys)")
+          else assert(got(e) >= fresh(e), s"graph$i h=$h live=$live e=$e (stale keys)")
         }
       }
     }
   }
 
   test("synchronous rounds are deterministic and thread-count independent") {
+    // In round 1 every key is stale, so threads race to rewrite the same
+    // destinations' keys; a cut run exposes the values of that round.
     val g = LocalGraph.fromEdges(GraphGen.chungLu(120, 300, 2.3, 77))
-    val r1 = LocalHIndexDecomposition.decompose(g, 2, LocalHIndexConfig(threads = 1))
-    val r4 = LocalHIndexDecomposition.decompose(g, 2, LocalHIndexConfig(threads = 4))
-    val r16 = LocalHIndexDecomposition.decompose(g, 2, LocalHIndexConfig(threads = 16))
-    assert(r1.trussness.toSeq == r4.trussness.toSeq)
-    assert(r1.rounds == r4.rounds && r4.rounds == r16.rounds)
+    for (maxRounds <- Seq(1, 2, LocalHIndexConfig().maxRounds)) {
+      def run(threads: Int) =
+        LocalHIndexDecomposition.decompose(g, 2, LocalHIndexConfig(threads = threads, maxRounds = maxRounds))
+      val r1  = run(1)
+      val r4  = run(4)
+      val r16 = run(16)
+      assert(r1.trussness.toSeq == r4.trussness.toSeq, s"maxRounds=$maxRounds")
+      assert(r1.trussness.toSeq == r16.trussness.toSeq, s"maxRounds=$maxRounds")
+      assert(r1.rounds == r4.rounds && r4.rounds == r16.rounds, s"maxRounds=$maxRounds")
+    }
   }
 
   test("indexed rounds match Jacobi rounds of the per-edge reference kernel") {
@@ -268,6 +276,17 @@ class LocalHIndexSpec extends AnyFunSuite {
 
   test("empty graph converges immediately") {
     val r = LocalHIndexDecomposition.decompose(LocalGraph.fromEdges(Seq.empty), 2)
-    assert(r.trussness.isEmpty && r.rounds == 0)
+    assert(r.trussness.isEmpty && r.rounds == 0 && r.converged)
+  }
+
+  test("a run cut at maxRounds before the fixpoint reports that it did not converge") {
+    val g = LocalGraph.fromEdges(GraphGen.chungLu(120, 300, 2.3, 77))
+    for ((name, cfg) <- variants) {
+      val cut  = LocalHIndexDecomposition.decompose(g, 2, cfg.copy(maxRounds = 1))
+      val full = LocalHIndexDecomposition.decompose(g, 2, cfg)
+      assert(full.rounds > 1, name)
+      assert(!cut.converged && cut.rounds == 1, name)
+      assert(full.converged, name)
+    }
   }
 }

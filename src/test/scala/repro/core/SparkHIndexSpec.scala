@@ -95,6 +95,23 @@ class SparkHIndexSpec extends SparkSpec {
     }
   }
 
+  test("empty graph converges immediately") {
+    for (mode <- Seq[S.Mode](S.Sync, S.Pruned)) {
+      val r = S.decompose(EdgeList.fromPairs(spark, Seq.empty), 2, mode)
+      assert(r.rounds == 0 && r.converged && r.trussness.count() == 0, mode.toString)
+    }
+  }
+
+  test("a run cut at maxRounds before the fixpoint reports that it did not converge") {
+    val df = EdgeList.fromPairs(spark, TestGraphs.fig1Like)
+    for (mode <- Seq[S.Mode](S.Sync, S.Pruned)) {
+      val full = S.decompose(df, 2, mode)
+      assert(full.converged && full.rounds > 1, mode.toString)
+      val cut = S.decompose(df, 2, mode, maxRounds = 1)
+      assert(!cut.converged && cut.rounds == 1, mode.toString)
+    }
+  }
+
   test("a deadline that has passed raises Budget.Exceeded in both modes") {
     val df = EdgeList.fromPairs(spark, TestGraphs.fig1Like)
     for (mode <- Seq[S.Mode](S.Sync, S.Pruned))

@@ -9,12 +9,6 @@ class DatasetsSpec extends AnyFunSuite {
     assert(Datasets.all.map(_.code) == Seq("YT", "VL", "SC", "GA", "AM", "AN"))
   }
 
-  test("byCode resolves case-insensitively and rejects unknowns") {
-    assert(Datasets.byCode("yt") eq Datasets.YT)
-    assert(Datasets.byCode("AM") eq Datasets.AM)
-    intercept[IllegalArgumentException](Datasets.byCode("XX"))
-  }
-
   test("full-scale datasets match the paper's |E| exactly") {
     for (ds <- Seq(Datasets.YT, Datasets.VL, Datasets.SC)) {
       assert(ds.scale == 1.0)

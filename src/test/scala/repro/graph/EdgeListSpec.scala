@@ -1,8 +1,8 @@
 package repro.graph
 
-import repro.{Oracle, SparkSpec, TestGraphs}
+import repro.{SparkSpec, TestGraphs}
 
-/** Canonical edge-list substrate: orientation, dedup, ids, degrees. */
+/** Canonical edge-list substrate: orientation, dedup, ids. */
 class EdgeListSpec extends SparkSpec {
 
   test("canonicalize orients edges src < dst") {
@@ -28,11 +28,6 @@ class EdgeListSpec extends SparkSpec {
     assert(EdgeList.eid(3, 5) == EdgeList.eid(3, 5))
   }
 
-  test("endpoints inverts eid") {
-    for ((u, v) <- Seq((0, 1), (3, 17), (123, 45678), (0, Int.MaxValue)))
-      assert(EdgeList.endpoints(EdgeList.eid(u, v)) == ((u, v)))
-  }
-
   test("eid column matches eid function") {
     val df = EdgeList.fromPairs(spark, TestGraphs.k4)
     df.collect().foreach { r =>
@@ -49,32 +44,6 @@ class EdgeListSpec extends SparkSpec {
     val df = EdgeList.fromPairs(spark, Seq((1, 2)))
     val got = EdgeList.oriented(df).collect().map(r => (r.getInt(0), r.getInt(1))).toSet
     assert(got == Set((1, 2), (2, 1)))
-  }
-
-  test("vertices returns all endpoints once") {
-    val df = EdgeList.fromPairs(spark, TestGraphs.bowtie)
-    assert(EdgeList.vertices(df).collect().map(_.getInt(0)).sorted.toSeq == Seq(0, 1, 2, 3, 4))
-  }
-
-  test("degrees of K4 are all 3 (oracle-checked)") {
-    val edges = EdgeList.fromPairs(spark, TestGraphs.k4)
-    val got = EdgeList.degrees(edges)
-    Oracle.assertEquivalent(
-      got,
-      """SELECT a AS v, COUNT(*) AS degree FROM
-        | (SELECT src AS a FROM edges UNION ALL SELECT dst FROM edges)
-        | GROUP BY a""".stripMargin,
-      "edges" -> edges)
-  }
-
-  test("degrees of a star match the oracle") {
-    val edges = EdgeList.fromPairs(spark, TestGraphs.star5)
-    Oracle.assertEquivalent(
-      EdgeList.degrees(edges),
-      """SELECT a AS v, COUNT(*) AS degree FROM
-        | (SELECT src AS a FROM edges UNION ALL SELECT dst FROM edges)
-        | GROUP BY a""".stripMargin,
-      "edges" -> edges)
   }
 
   test("canonicalize is idempotent") {
