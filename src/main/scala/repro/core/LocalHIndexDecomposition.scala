@@ -16,9 +16,13 @@ import repro.graph.LocalGraph
   * vertices within h-1 hops of them). A graph whose index would take more
   * than a quarter of the maximum heap is rejected before the index is
   * allocated.
-  * [[HopScratch.computeHIndex]], which rebuilds both endpoints' keys for
-  * one edge, is the Spark engine's kernel and the reference the tests hold
-  * these rounds to; no round here calls it.
+  *
+  * This is the one round loop of both engines: the Spark engine
+  * ([[SparkHIndexDecomposition]]) runs it on the driver and replaces only
+  * the edge phase, by a Spark job of [[HopScratch.computeHIndex]], which
+  * rebuilds both endpoints' keys for one edge; that kernel is also the
+  * reference the tests hold the indexed rounds to. Supports, change
+  * detection, the walk, pruning and the stop rules are shared.
   *
   * Variants, selected by [[LocalHIndexConfig]]:
   *  - '''Single''': ``threads = 1, async = false, pruning = false``
@@ -79,16 +83,31 @@ object LocalHIndexDecomposition {
   /** Longest array the JVM allocates. */
   private val MaxArray = Int.MaxValue - 8
 
+  /** A round's edge phase, ``apply(h, round, active, read, out)``: sets
+    * ``out(e)`` to the next-order value of each edge ``e`` that ``active``
+    * holds, computed at hop threshold ``h`` from the values ``read``, where
+    * it is below ``read(e)``. [[run]] passes the clamped ``h`` and, for a
+    * synchronous round, the round-start copy as ``read``.
+    */
+  private[core] trait EdgePhase {
+    def apply(h: Int, round: Int, active: java.util.BitSet, read: Array[Int], out: Array[Int]): Unit
+  }
+
   /** Run the decomposition of graph ``g`` at hop threshold ``h``. The
     * [[BallIndex]] may take at most a quarter of the maximum heap; a graph
     * whose index would be larger is rejected with an
     * ``IllegalArgumentException`` that gives the bytes needed.
     */
   def decompose(g: LocalGraph, h: Int, config: LocalHIndexConfig = LocalHIndexConfig()): LocalHIndexResult =
-    run(g, h, config, Runtime.getRuntime.maxMemory / 4)
+    run(g, h, config)
 
-  /** [[decompose]] with at most ``storeBytes`` bytes for the ball index. */
-  private[core] def run(g: LocalGraph, hop: Int, config: LocalHIndexConfig, storeBytes: Long): LocalHIndexResult = {
+  /** [[decompose]] with at most ``storeBytes`` bytes for the ball index,
+    * whose rounds run ``edgePhase`` if given and otherwise
+    * [[HopScratch.storeHIndices]] on ``config.threads`` threads.
+    */
+  private[core] def run(g: LocalGraph, hop: Int, config: LocalHIndexConfig,
+                        storeBytes: Long = Runtime.getRuntime.maxMemory / 4,
+                        edgePhase: Option[EdgePhase] = None): LocalHIndexResult = {
     require(hop >= 1, s"need h >= 1, got $hop")
     require(config.threads >= 1, s"need threads >= 1, got ${config.threads}")
     val m = g.m
@@ -157,6 +176,11 @@ object LocalHIndexDecomposition {
       val hprev = new Array[Int](m)
       forSlices(m)((t, from, until) => scratches(t).storeSupports(index, from, until, hcur))
       val read = if (config.async) hcur else hprev
+      val phase = edgePhase.getOrElse[EdgePhase] { (_, round, active, hval, out) =>
+        forSlices(m) { (t, from, until) =>
+          scratches(t).storeHIndices(index, from, until, active, hval, out, round, config.async)
+        }
+      }
 
       // Reused across rounds: the edges each thread's share of the Lemma-4
       // walk activates, and the roots of the walk with their merged drops.
@@ -173,9 +197,7 @@ object LocalHIndexDecomposition {
         rounds += 1
         val round = rounds
         System.arraycopy(hcur, 0, hprev, 0, m)
-        forSlices(m) { (t, from, until) =>
-          scratches(t).storeHIndices(index, from, until, active, read, hcur, round, config.async)
-        }
+        phase(h, round, active, read, hcur)
         // The changed edges e' are the active edges whose value fell from
         // old = hprev(e') to new = hcur(e'). The end-of-round walk runs
         // from both endpoints of each over the vertices within h-1 hops,

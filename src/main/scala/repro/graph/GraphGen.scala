@@ -15,32 +15,24 @@ object GraphGen {
 
   private def canon(u: Int, v: Int): (Int, Int) = if (u < v) (u, v) else (v, u)
 
-  /** Erdős–Rényi G(n, m): exactly ``m`` distinct edges drawn uniformly
-    * (or the maximum possible if ``m`` exceeds ``n(n-1)/2``).
-    */
-  def erdosRenyi(n: Int, m: Int, seed: Long): Seq[(Int, Int)] = {
-    require(n >= 2, s"need n >= 2, got $n")
-    val rng   = new Random(seed)
-    val maxM  = n.toLong * (n - 1) / 2
-    val want  = math.min(m.toLong, maxM).toInt
-    val edges = mutable.LinkedHashSet.empty[(Int, Int)]
+  /** ``m`` capped at the ``n(n-1)/2`` edges a simple graph on ``n`` vertices has. */
+  private def maxEdges(n: Int, m: Int): Int = math.min(m.toLong, n.toLong * (n - 1) / 2).toInt
+
+  /** Adds uniformly drawn pairs to ``edges`` until it holds ``want``. */
+  private def uniformTopUp(edges: mutable.LinkedHashSet[(Int, Int)], n: Int, want: Int, rng: Random): Unit =
     while (edges.size < want) {
       val u = rng.nextInt(n); val v = rng.nextInt(n)
       if (u != v) edges += canon(u, v)
     }
-    edges.toSeq
-  }
 
-  /** Chung–Lu power-law graph: ``m`` edges with endpoints drawn with
-    * probability proportional to ``w_i = (i+1)^(-1/(gamma-1))`` — expected
-    * degree sequence follows a power law with exponent ``gamma``. Heavier
-    * tails (smaller gamma) give hubbier graphs with more triangles.
+  /** Adds Chung–Lu pairs (see [[chungLu]]) to ``edges`` until it holds
+    * ``want``: at most ``200 want + 1000`` draws by inverse-CDF sampling of
+    * the endpoint weights, then uniform pairs if hub saturation stalled the
+    * sampler.
     */
-  def chungLu(n: Int, m: Int, gamma: Double, seed: Long): Seq[(Int, Int)] = {
-    require(n >= 2 && gamma > 1.0, s"need n >= 2 and gamma > 1, got n=$n gamma=$gamma")
-    val rng = new Random(seed)
+  private def powerLawFill(edges: mutable.LinkedHashSet[(Int, Int)], n: Int, want: Int, gamma: Double,
+                           rng: Random): Unit = {
     val exp = 1.0 / (gamma - 1.0)
-    // Cumulative weights for inverse-CDF sampling of endpoints.
     val cum = new Array[Double](n)
     var acc = 0.0
     var i   = 0
@@ -51,9 +43,6 @@ object GraphGen {
       while (lo < hi) { val mid = (lo + hi) >>> 1; if (cum(mid) < x) lo = mid + 1 else hi = mid }
       lo
     }
-    val maxM     = n.toLong * (n - 1) / 2
-    val want     = math.min(m.toLong, maxM).toInt
-    val edges    = mutable.LinkedHashSet.empty[(Int, Int)]
     var attempts = 0L
     val cap      = 200L * want + 1000L
     while (edges.size < want && attempts < cap) {
@@ -61,11 +50,29 @@ object GraphGen {
       if (u != v) edges += canon(u, v)
       attempts += 1
     }
-    // Top up with uniform pairs if hub saturation stalled the sampler.
-    while (edges.size < want) {
-      val u = rng.nextInt(n); val v = rng.nextInt(n)
-      if (u != v) edges += canon(u, v)
-    }
+    uniformTopUp(edges, n, want, rng)
+  }
+
+  /** Erdős–Rényi G(n, m): exactly ``m`` distinct edges drawn uniformly
+    * (or the maximum possible if ``m`` exceeds ``n(n-1)/2``).
+    */
+  def erdosRenyi(n: Int, m: Int, seed: Long): Seq[(Int, Int)] = {
+    require(n >= 2, s"need n >= 2, got $n")
+    val edges = mutable.LinkedHashSet.empty[(Int, Int)]
+    uniformTopUp(edges, n, maxEdges(n, m), new Random(seed))
+    edges.toSeq
+  }
+
+  /** Chung–Lu power-law graph: ``m`` edges (or the maximum possible if
+    * ``m`` exceeds ``n(n-1)/2``) with endpoints drawn with probability
+    * proportional to ``w_i = (i+1)^(-1/(gamma-1))`` — expected degree
+    * sequence follows a power law with exponent ``gamma``. Heavier tails
+    * (smaller gamma) give hubbier graphs with more triangles.
+    */
+  def chungLu(n: Int, m: Int, gamma: Double, seed: Long): Seq[(Int, Int)] = {
+    require(n >= 2 && gamma > 1.0, s"need n >= 2 and gamma > 1, got n=$n gamma=$gamma")
+    val edges = mutable.LinkedHashSet.empty[(Int, Int)]
+    powerLawFill(edges, n, maxEdges(n, m), gamma, new Random(seed))
     edges.toSeq
   }
 
@@ -91,36 +98,15 @@ object GraphGen {
 
   /** Sparse connected power-law graph: a [[prefTree]] skeleton (so every
     * vertex is realized, matching how KONECT edge lists define |V|) plus
-    * ``m - (n-1)`` extra Chung–Lu edges with exponent ``gamma``. The shape
-    * of sparse protein/city networks with |E| close to |V|.
+    * ``m - (n-1)`` extra Chung–Lu edges with exponent ``gamma`` (up to
+    * ``n(n-1)/2`` edges in all). The shape of sparse protein/city networks
+    * with |E| close to |V|.
     */
   def sparseConnected(n: Int, m: Int, gamma: Double, seed: Long): Seq[(Int, Int)] = {
     require(m >= n - 1, s"need m >= n-1 for a connected graph, got n=$n m=$m")
     val edges = mutable.LinkedHashSet.empty[(Int, Int)]
     edges ++= prefTree(n, seed)
-    val rng = new Random(seed + 1)
-    val exp = 1.0 / (gamma - 1.0)
-    val cum = new Array[Double](n)
-    var acc = 0.0
-    var i   = 0
-    while (i < n) { acc += math.pow(i + 1.0, -exp); cum(i) = acc; i += 1 }
-    def draw(): Int = {
-      val x  = rng.nextDouble() * acc
-      var lo = 0; var hi = n - 1
-      while (lo < hi) { val mid = (lo + hi) >>> 1; if (cum(mid) < x) lo = mid + 1 else hi = mid }
-      lo
-    }
-    var attempts = 0L
-    val cap      = 200L * m + 1000L
-    while (edges.size < m && attempts < cap) {
-      val u = draw(); val v = draw()
-      if (u != v) edges += canon(u, v)
-      attempts += 1
-    }
-    while (edges.size < m) {
-      val u = rng.nextInt(n); val v = rng.nextInt(n)
-      if (u != v) edges += canon(u, v)
-    }
+    powerLawFill(edges, n, maxEdges(n, m), gamma, new Random(seed + 1))
     edges.toSeq
   }
 
@@ -144,49 +130,5 @@ object GraphGen {
       } else edges += canon(u, v)
     }
     edges.toSeq
-  }
-
-  /** Planted-community graph: ``c`` communities of size ``size`` with
-    * intra-community edge probability ``pIn`` and ``mOut`` random
-    * inter-community edges. Produces a clear truss hierarchy (dense cores
-    * inside communities, weak ties between) — useful in tests.
-    */
-  def plantedCommunities(c: Int, size: Int, pIn: Double, mOut: Int, seed: Long): Seq[(Int, Int)] = {
-    require(c >= 1 && size >= 2, s"need c >= 1 and size >= 2, got c=$c size=$size")
-    val rng   = new Random(seed)
-    val n     = c * size
-    val edges = mutable.LinkedHashSet.empty[(Int, Int)]
-    for (ci <- 0 until c; i <- 0 until size; j <- i + 1 until size)
-      if (rng.nextDouble() < pIn) edges += canon(ci * size + i, ci * size + j)
-    var added = 0
-    var tries = 0
-    while (added < mOut && tries < 100 * mOut + 100) {
-      val u = rng.nextInt(n); val v = rng.nextInt(n)
-      if (u != v && u / size != v / size && !edges.contains(canon(u, v))) { edges += canon(u, v); added += 1 }
-      tries += 1
-    }
-    edges.toSeq
-  }
-
-  /** Complete graph K_n — every edge has 1-support ``n-2`` (hand oracle). */
-  def clique(n: Int, offset: Int = 0): Seq[(Int, Int)] =
-    for (i <- 0 until n; j <- i + 1 until n) yield (i + offset, j + offset)
-
-  /** Cycle C_n — 2-support of every edge is 2 for n >= 5 (hand oracle). */
-  def cycle(n: Int): Seq[(Int, Int)] =
-    (0 until n).map(i => canon(i, (i + 1) % n))
-
-  /** Path P_n (n vertices, n-1 edges) — triangle-free (hand oracle). */
-  def path(n: Int): Seq[(Int, Int)] =
-    (0 until n - 1).map(i => (i, i + 1))
-
-  /** Apply a deterministic random relabeling of vertices; used to test that
-    * decompositions are invariant under isomorphism.
-    */
-  def relabel(edges: Seq[(Int, Int)], seed: Long): Seq[(Int, Int)] = {
-    val vs   = edges.flatMap(e => Seq(e._1, e._2)).distinct.sorted
-    val perm = new Random(seed).shuffle(vs)
-    val map  = vs.zip(perm).toMap
-    edges.map { case (u, v) => canon(map(u), map(v)) }
   }
 }

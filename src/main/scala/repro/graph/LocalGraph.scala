@@ -39,9 +39,6 @@ final class LocalGraph private (
   /** Degree of dense vertex ``v``. */
   def degree(v: Int): Int = offsets(v + 1) - offsets(v)
 
-  /** Neighbors of dense vertex ``v`` (fresh array; use offsets for hot loops). */
-  def neighbors(v: Int): Array[Int] = adjVert.slice(offsets(v), offsets(v + 1))
-
   /** BFS from ``src`` to depth ``maxHops`` over edges where ``alive`` is
     * true (null = all alive). Returns the visited dense vertices (including
     * ``src``) and their distances, via the provided scratch buffers:
@@ -77,25 +74,6 @@ final class LocalGraph private (
     }
     tail
   }
-
-  /** Convenience (allocating) h-hop neighborhood of ``v``: dense vertices at
-    * distance 1..h. Used by tests; hot paths use [[bfs]] with scratch.
-    */
-  def ball(v: Int, h: Int): Set[Int] = {
-    val stamp = new Array[Int](n)
-    val dist  = new Array[Int](n)
-    val out   = new Array[Int](n)
-    val cnt   = bfs(v, h, null, stamp, 1, dist, out)
-    (0 until cnt).map(out(_)).toSet - v
-  }
-
-  /** Common h-neighbors of edge ``(u, v)`` (dense ids, excluding u and v). */
-  def commonHNeighbors(u: Int, v: Int, h: Int): Set[Int] =
-    (ball(u, h) intersect ball(v, h)) - u - v
-
-  /** Edges as canonical original-label pairs, aligned with edge indices. */
-  def edgePairs: Seq[(Int, Int)] =
-    (0 until m).map(i => (label(edgeSrc(i)), label(edgeDst(i))))
 }
 
 object LocalGraph {

@@ -31,7 +31,7 @@ class IntegrationSpec extends SparkSpec {
   }
 
   test("scaled community graph at h=3: engines agree") {
-    val edges = GraphGen.plantedCommunities(3, 10, 0.5, 8, 123)
+    val edges = TestGraphs.plantedCommunities(3, 10, 0.5, 8, 123)
     val g = LocalGraph.fromEdges(edges)
     val base = BaselinePeeling.trussness(g, 3).toSeq
     val par  = LocalHIndexDecomposition.decompose(
@@ -43,7 +43,7 @@ class IntegrationSpec extends SparkSpec {
     // The paper's Example 1: the 1-hop model flattens hierarchy that the
     // 2-hop model exposes. On a community graph, max 2-trussness must
     // strictly exceed max 1-trussness and spread over more distinct levels.
-    val g = LocalGraph.fromEdges(GraphGen.plantedCommunities(2, 8, 0.75, 3, 321))
+    val g = LocalGraph.fromEdges(TestGraphs.plantedCommunities(2, 8, 0.75, 3, 321))
     val t1 = BaselinePeeling.trussness(g, 1)
     val t2 = BaselinePeeling.trussness(g, 2)
     assert(t2.max > t1.max)

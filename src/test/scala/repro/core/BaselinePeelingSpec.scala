@@ -47,7 +47,7 @@ class BaselinePeelingSpec extends AnyFunSuite {
 
   test("disconnected graphs at h=2") {
     check(TestGraphs.triPlusEdge, 2, "disconnected")
-    check(GraphGen.clique(4) ++ GraphGen.clique(5, offset = 10), 2, "two-cliques")
+    check(TestGraphs.clique(4) ++ TestGraphs.clique(5, offset = 10), 2, "two-cliques")
   }
 
   test("trussness is monotone in h") {
@@ -61,9 +61,9 @@ class BaselinePeelingSpec extends AnyFunSuite {
   }
 
   test("isomorphism invariance at h=2") {
-    val edges = GraphGen.plantedCommunities(2, 7, 0.8, 2, 44)
+    val edges = TestGraphs.plantedCommunities(2, 7, 0.8, 2, 44)
     val a = BaselinePeeling.trussness(LocalGraph.fromEdges(edges), 2)
-    val b = BaselinePeeling.trussness(LocalGraph.fromEdges(GraphGen.relabel(edges, 5)), 2)
+    val b = BaselinePeeling.trussness(LocalGraph.fromEdges(TestGraphs.relabel(edges, 5)), 2)
     assert(a.sorted.toSeq == b.sorted.toSeq)
   }
 

@@ -64,7 +64,7 @@ class BruteForceSpec extends AnyFunSuite {
   }
 
   test("khTruss masks are nested in k (Lemma 1)") {
-    val g = LocalGraph.fromEdges(GraphGen.plantedCommunities(2, 6, 0.8, 2, 31))
+    val g = LocalGraph.fromEdges(TestGraphs.plantedCommunities(2, 6, 0.8, 2, 31))
     val all = new java.util.BitSet(g.m); all.set(0, g.m)
     for (h <- 1 to 2) {
       var prev = all

@@ -92,7 +92,7 @@ class LocalHIndexSpec extends AnyFunSuite {
     for ((edges, h) <- Seq(
         (GraphGen.chungLu(300, 700, 2.3, 41), 2),
         (GraphGen.smallWorld(250, 6, 0.1, 42), 2),
-        (GraphGen.plantedCommunities(4, 12, 0.6, 10, 43), 2),
+        (TestGraphs.plantedCommunities(4, 12, 0.6, 10, 43), 2),
         (GraphGen.erdosRenyi(200, 400, 44), 3))) {
       val g = LocalGraph.fromEdges(edges)
       val expect = BaselinePeeling.trussness(g, h).toSeq

@@ -1,6 +1,7 @@
 package repro.core
 
 import repro.{NaiveReference, SparkSpec, TestGraphs}
+import repro.TestGraphs.GraphOps
 import repro.graph.{EdgeList, GraphGen, LocalGraph}
 import repro.core.{SparkHIndexDecomposition => S}
 
@@ -15,12 +16,12 @@ class SparkHIndexSpec extends SparkSpec {
     (0 until g.m).map(e => g.eids(e) -> t(e)).toMap
   }
 
+  /** Trussness by eid, rounds and the convergence flag. */
   private def run(edges: Seq[(Int, Int)], h: Int, mode: S.Mode,
-                  maxRounds: Int = 10000): (Map[Long, Int], Int) = {
+                  maxRounds: Int = 10000): (Map[Long, Int], Int, Boolean) = {
     val df = EdgeList.fromPairs(spark, edges)
     val r  = S.decompose(df, h, mode, maxRounds)
-    val m  = r.trussness.collect().map(row => row.getLong(0) -> row.getInt(3)).toMap
-    (m, r.rounds)
+    (r.trussness.collect().map(row => row.getLong(0) -> row.getInt(3)).toMap, r.rounds, r.converged)
   }
 
   test("triangle at h=1 (all modes)") {
@@ -85,13 +86,18 @@ class SparkHIndexSpec extends SparkSpec {
 
   test("rounds cut at maxRounds 1..3 equal the local synchronous engine's (both modes)") {
     for (edges <- Seq(TestGraphs.randomPool(2, 16, 550)(1), GraphGen.smallWorld(20, 4, 0.2, 10));
-         h <- 1 to 3; maxRounds <- 1 to 3) {
-      val g     = LocalGraph.fromEdges(edges)
-      val local = LocalHIndexDecomposition.decompose(g, h, LocalHIndexConfig(maxRounds = maxRounds))
-      val exp   = (0 until g.m).map(e => g.eids(e) -> local.trussness(e)).toMap
-      assert(run(edges, h, S.Sync, maxRounds) == (exp, local.rounds), s"h=$h maxRounds=$maxRounds")
+         h <- 1 to 3; maxRounds <- Seq(1, 2, 3, 10000)) {
+      val g = LocalGraph.fromEdges(edges)
+      def local(pruning: Boolean) = {
+        val r = LocalHIndexDecomposition.decompose(g, h, LocalHIndexConfig(pruning = pruning, maxRounds = maxRounds))
+        ((0 until g.m).map(e => g.eids(e) -> r.trussness(e)).toMap, r.rounds, r.converged)
+      }
+      val sync   = local(pruning = false)
+      val pruned = run(edges, h, S.Pruned, maxRounds)
+      assert(run(edges, h, S.Sync, maxRounds) == sync, s"h=$h maxRounds=$maxRounds")
+      assert(pruned == local(pruning = true), s"pruned h=$h maxRounds=$maxRounds")
       // Lemma 4 skips only edges a Jacobi round would not change.
-      assert(run(edges, h, S.Pruned, maxRounds)._1 == exp, s"pruned h=$h maxRounds=$maxRounds")
+      assert(pruned._1 == sync._1, s"pruned h=$h maxRounds=$maxRounds")
     }
   }
 

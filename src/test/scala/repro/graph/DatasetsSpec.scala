@@ -12,6 +12,7 @@ class DatasetsSpec extends AnyFunSuite {
   test("full-scale datasets match the paper's |E| exactly") {
     for (ds <- Seq(Datasets.YT, Datasets.VL, Datasets.SC)) {
       assert(ds.scale == 1.0)
+      assert(ds.targetE == ds.paperE, ds.code)
       assert(ds.edges.length == ds.paperE, ds.code)
     }
   }
@@ -19,8 +20,15 @@ class DatasetsSpec extends AnyFunSuite {
   test("scaled datasets match their declared scaled |E|") {
     for (ds <- Seq(Datasets.GA, Datasets.AM, Datasets.AN)) {
       assert(ds.scale < 1.0)
-      assert(ds.edges.length == ds.paperE, ds.code)
+      assert(ds.edges.length == ds.targetE, ds.code)
     }
+  }
+
+  test("generator targets are the KONECT sizes times the scale, rounded") {
+    val targets = Datasets.all.map(ds => ds.code -> (ds.paperV, ds.paperE, ds.targetV, ds.targetE)).toMap
+    assert(targets("GA") == (36682, 88328, 9171, 22082))
+    assert(targets("AM") == (262111, 1234877, 5242, 24698))
+    assert(targets("AN") == (334863, 925872, 6697, 18517))
   }
 
   test("vertex counts are close to the declared |V|") {
@@ -28,8 +36,19 @@ class DatasetsSpec extends AnyFunSuite {
     // the realized vertex count must stay within 15% of the target.
     for (ds <- Datasets.all) {
       val g = ds.localGraph
-      assert(g.n <= ds.paperV, s"${ds.code}: ${g.n} > ${ds.paperV}")
-      assert(g.n >= (ds.paperV * 0.85).toInt, s"${ds.code}: ${g.n} too small")
+      assert(g.n <= ds.targetV, s"${ds.code}: ${g.n} > ${ds.targetV}")
+      assert(g.n >= (ds.targetV * 0.85).toInt, s"${ds.code}: ${g.n} too small")
+    }
+  }
+
+  test("edge lists are pinned: size and Seq hash of each analogue") {
+    // Every benchmark workload and table reads these graphs, so a change to
+    // a generator must not change them unnoticed.
+    val pinned = Map("YT" -> (2227, 1606979053), "VL" -> (6726, -371949498), "SC" -> (20573, -374441551),
+                     "GA" -> (22082, -1857436867), "AM" -> (24698, 846544999), "AN" -> (18517, 1292082579))
+    for (ds <- Datasets.all) {
+      val e = ds.edges
+      assert((e.length, e.hashCode) == pinned(ds.code), ds.code)
     }
   }
 

@@ -1,6 +1,8 @@
 package repro.graph
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.TestGraphs
+import repro.TestGraphs.GraphOps
 
 /** Synthetic graph generators: validity, determinism, requested sizes.
   * (Property-style sweeps use seeded loops; the scalatest/scalacheck bridge
@@ -76,7 +78,7 @@ class GraphGenSpec extends AnyFunSuite {
   }
 
   test("plantedCommunities keeps communities dense and boundaries sparse") {
-    val e = GraphGen.plantedCommunities(3, 8, 0.9, 5, 17)
+    val e = TestGraphs.plantedCommunities(3, 8, 0.9, 5, 17)
     assertValid(e, 24)
     val inter = e.count { case (u, v) => u / 8 != v / 8 }
     assert(inter == 5)
@@ -100,27 +102,34 @@ class GraphGenSpec extends AnyFunSuite {
     assert(e.flatMap(p => Seq(p._1, p._2)).distinct.length == 200)
   }
 
+  test("sparseConnected caps m at n(n-1)/2") {
+    for (seed <- 0L until 5L) {
+      val e = GraphGen.sparseConnected(5, 12, 2.5, seed)
+      assert(e.toSet == TestGraphs.clique(5).toSet && e.length == 10, s"seed=$seed")
+    }
+  }
+
   test("sparseConnected is deterministic in seed") {
     assert(GraphGen.sparseConnected(50, 70, 2.4, 1) == GraphGen.sparseConnected(50, 70, 2.4, 1))
   }
 
   test("clique generates n(n-1)/2 edges") {
-    assert(GraphGen.clique(6).length == 15)
-    assertValid(GraphGen.clique(6), 6)
+    assert(TestGraphs.clique(6).length == 15)
+    assertValid(TestGraphs.clique(6), 6)
   }
 
   test("clique offset shifts vertex ids") {
-    assert(GraphGen.clique(3, offset = 10).toSet == Set((10, 11), (10, 12), (11, 12)))
+    assert(TestGraphs.clique(3, offset = 10).toSet == Set((10, 11), (10, 12), (11, 12)))
   }
 
   test("cycle and path have expected sizes") {
-    assert(GraphGen.cycle(7).length == 7)
-    assert(GraphGen.path(7).length == 6)
+    assert(TestGraphs.cycle(7).length == 7)
+    assert(TestGraphs.path(7).length == 6)
   }
 
   test("relabel preserves size and degree multiset") {
     val e = GraphGen.erdosRenyi(30, 60, 21)
-    val r = GraphGen.relabel(e, 22)
+    val r = TestGraphs.relabel(e, 22)
     assert(r.length == e.length)
     def degs(es: Seq[(Int, Int)]) =
       es.flatMap(p => Seq(p._1, p._2)).groupBy(identity).map(_._2.size).toSeq.sorted

@@ -1,6 +1,7 @@
 package repro.graph
 
 import repro.{NaiveReference, Oracle, SparkSpec, TestGraphs}
+import repro.TestGraphs.GraphOps
 
 /** Distributed h-hop pair table vs naive BFS and the DuckDB oracle. */
 class HopNeighborhoodsSpec extends SparkSpec {
@@ -23,7 +24,7 @@ class HopNeighborhoodsSpec extends SparkSpec {
   }
 
   test("hopDistances reports minimal distances on a path graph") {
-    val got = pairsSet(GraphGen.path(6), 3)
+    val got = pairsSet(TestGraphs.path(6), 3)
     assert(got.contains((0, 3, 3)))
     assert(got.contains((0, 1, 1)))
     assert(!got.exists { case (a, b, _) => a == 0 && b == 4 }) // dist 4 > h

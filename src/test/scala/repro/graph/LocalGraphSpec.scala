@@ -2,6 +2,7 @@ package repro.graph
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.{NaiveReference, SparkSpec, TestGraphs}
+import repro.TestGraphs.GraphOps
 
 /** CSR graph substrate: construction, degrees, BFS balls, common neighbors. */
 class LocalGraphSpec extends AnyFunSuite {
@@ -96,14 +97,14 @@ class LocalGraphSpec extends AnyFunSuite {
   }
 
   test("ball on a path graph grows linearly") {
-    val g = LocalGraph.fromEdges(GraphGen.path(10))
+    val g = LocalGraph.fromEdges(TestGraphs.path(10))
     assert(g.ball(0, 1) == Set(1))
     assert(g.ball(0, 3) == Set(1, 2, 3))
     assert(g.ball(5, 2) == Set(3, 4, 6, 7))
   }
 
   test("bfs respects the alive-edge mask") {
-    val g = LocalGraph.fromEdges(GraphGen.path(5)) // edges (0,1),(1,2),(2,3),(3,4)
+    val g = LocalGraph.fromEdges(TestGraphs.path(5)) // edges (0,1),(1,2),(2,3),(3,4)
     val alive = new java.util.BitSet(g.m); alive.set(0, g.m)
     // Kill the middle edge (1,2): vertex 0 should no longer reach 3.
     val mid = (0 until g.m).find(e => g.edgeSrc(e) == 1 && g.edgeDst(e) == 2).get
