@@ -13,8 +13,10 @@ import repro.graph.LocalGraph
   * 0 is ``v`` itself), so ``ballVert(start(v) until end(v))`` is
   * ``ball_h(v)`` in BFS order and ``ballVert(start(v) until nearEnd(v))``
   * is ``ball_{h-1}(v)``. ``keys(j)`` is the maximin key from ``v`` to
-  * ``ballVert(j)``. Both arrays hold ``Σ|ball_h(v)|`` ints, each ball
-  * counting its root: 8 bytes per ball entry in all.
+  * ``ballVert(j)``; it is ``null`` unless ``keyed``, since an index whose
+  * keys no edge phase reads needs none. Each array holds ``Σ|ball_h(v)|``
+  * ints, each ball counting its root: 8 bytes per ball entry in all, or 4
+  * without keys.
   *
   * Freshness: ``v``'s keys depend only on the values of edges with an
   * endpoint within ``h - 1`` hops of ``v``. ``touched(v)`` is the last round
@@ -23,12 +25,12 @@ import repro.graph.LocalGraph
   * never), so the keys may be stale exactly when [[stale]] holds. Rounds
   * count from 1.
   */
-final class BallIndex(val h: Int, ballSize: Array[Int]) {
+final class BallIndex(val h: Int, ballSize: Array[Int], keyed: Boolean) {
   private val n = ballSize.length
   val shellOff = new Array[Int](n * (h + 1) + 1)
   for (v <- 0 until n) shellOff((v + 1) * (h + 1)) = shellOff(v * (h + 1)) + ballSize(v)
   val ballVert = new Array[Int](shellOff(n * (h + 1)))
-  val keys     = new Array[Int](ballVert.length)
+  val keys     = if (keyed) new Array[Int](ballVert.length) else null
 
   val touched = new Array[Int](n)
   val written = new java.util.concurrent.atomic.AtomicIntegerArray(n)
@@ -393,7 +395,8 @@ final class HopScratch(g: LocalGraph) {
   }
 
   /** Visit every vertex within ``depth`` hops of ``src`` (including ``src``)
-    * over ``alive`` edges, applying ``f``. Used for peeling invalidation.
+    * over ``alive`` edges, applying ``f``. Only the benchmark's layer
+    * probes call it, to time a walk over every vertex's ``h - 1`` ball.
     */
   def forEachBallVertex(src: Int, depth: Int, alive: java.util.BitSet)(f: Int => Unit): Unit = {
     val t   = nextToken()

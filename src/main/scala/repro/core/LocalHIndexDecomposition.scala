@@ -103,7 +103,8 @@ object LocalHIndexDecomposition {
 
   /** [[decompose]] with at most ``storeBytes`` bytes for the ball index,
     * whose rounds run ``edgePhase`` if given and otherwise
-    * [[HopScratch.storeHIndices]] on ``config.threads`` threads.
+    * [[HopScratch.storeHIndices]] on ``config.threads`` threads. Only the
+    * latter reads keys, so with an ``edgePhase`` the index holds none.
     */
   private[core] def run(g: LocalGraph, hop: Int, config: LocalHIndexConfig,
                         storeBytes: Long = Runtime.getRuntime.maxMemory / 4,
@@ -161,11 +162,12 @@ object LocalHIndexDecomposition {
       var entries  = 0L
       for (size <- ballSize) entries += size
       val shellLen = g.n.toLong * (h + 1) + 1
-      val bytes    = 8 * entries + 4 * shellLen + 8L * g.n
+      val keyed    = edgePhase.isEmpty
+      val bytes    = (if (keyed) 8 else 4) * entries + 4 * shellLen + 8L * g.n
       require(entries <= MaxArray && shellLen <= MaxArray && bytes <= storeBytes,
         s"the ball index at h=$h needs $bytes bytes in arrays of up to ${math.max(entries, shellLen)} " +
           s"entries; the cap is $storeBytes bytes and $MaxArray entries per array")
-      val index = new BallIndex(h, ballSize)
+      val index = new BallIndex(h, ballSize, keyed)
       forAll(g.n)((t, v) => scratches(t).fillBall(v, index))
 
       // Order-0 values: h-supports, computed in parallel (Alg. 2 lines 1-3).

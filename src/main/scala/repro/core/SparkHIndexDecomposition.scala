@@ -17,8 +17,9 @@ import repro.graph.LocalGraph
   * and on every executor; partitions that carry only their h-hop halo are
   * not implemented. The driver also holds the local engine's
   * [[BallIndex]], under the same cap of a quarter of the maximum heap, and
-  * a graph whose index is larger is rejected with the bytes it needs; the
-  * index's keys go unused here. From the index the driver takes the
+  * a graph whose index is larger is rejected with the bytes it needs. No
+  * edge phase here reads keys, so the index has none: 4 bytes per ball
+  * entry rather than 8. From the index the driver takes the
   * order-0 values (h-supports), the change detection, the Lemma-4 walk, the
   * clamp of ``h`` to ``max(1, n - 1)`` and the stop rules, exactly as in the
   * local engine's synchronous rounds. Each round's edge phase broadcasts

@@ -12,9 +12,10 @@ import org.apache.spark.sql.DataFrame
   *
   * The adjacency arrays carry, for each ``(v, neighbor)`` slot, the id of
   * the connecting edge (``adjEdge``) so per-edge key lookups during BFS are
-  * O(1); each vertex's slice is strictly increasing by neighbor id. All
-  * decomposition engines treat deletions via an ``alive`` bitmask
-  * rather than mutating the CSR. The graph is ``Serializable``, so the
+  * O(1); each vertex's slice is strictly increasing by neighbor id. No
+  * algorithm writes these arrays: the oracles treat deletions via an
+  * ``alive`` bitmask, and the peeling baseline swap-removes edges from a
+  * private copy of the adjacency. The graph is ``Serializable``, so the
   * Spark engine can broadcast it.
   */
 final class LocalGraph private (

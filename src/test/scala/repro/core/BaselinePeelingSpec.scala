@@ -2,7 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestGraphs
-import repro.graph.{GraphGen, LocalGraph}
+import repro.graph.{Datasets, GraphGen, LocalGraph}
 
 /** Algorithm 1 (sequential peeling) vs the definition oracle. */
 class BaselinePeelingSpec extends AnyFunSuite {
@@ -65,6 +65,41 @@ class BaselinePeelingSpec extends AnyFunSuite {
     val a = BaselinePeeling.trussness(LocalGraph.fromEdges(edges), 2)
     val b = BaselinePeeling.trussness(LocalGraph.fromEdges(TestGraphs.relabel(edges, 5)), 2)
     assert(a.sorted.toSeq == b.sorted.toSeq)
+  }
+
+  /** A star on ``leaves`` leaves plus ``chords`` random edges between
+    * leaves: the centre owns most of the edges each deletion affects.
+    */
+  private def starWithChords(leaves: Int, chords: Int, seed: Long): Seq[(Int, Int)] = {
+    val rnd = new scala.util.Random(seed)
+    (1 to leaves).map((0, _)) ++ Seq.fill(chords)((1 + rnd.nextInt(leaves), 1 + rnd.nextInt(leaves)))
+  }
+
+  test("hub-heavy graphs at h=1..3") {
+    for (h <- 1 to 3; seed <- 0 until 3) {
+      check(starWithChords(12, 10 + 4 * seed, 900 + seed), h, s"star$seed")
+      check(GraphGen.chungLu(24, 60, 2.0, 910 + seed), h, s"chungLu$seed")
+    }
+  }
+
+  test("GA analogue at h=2 equals local Paral") {
+    val g = Datasets.GA.localGraph
+    assert(BaselinePeeling.trussness(g, 2).toSeq ==
+             LocalHIndexDecomposition.decompose(g, 2, LocalHIndexConfig(threads = 4)).trussness.toSeq)
+  }
+
+  test("the graph's arrays are never written") {
+    for (edges <- Seq(TestGraphs.randomPool(1, 20, 400).head, GraphGen.chungLu(40, 100, 2.0, 401)); h <- 1 to 3) {
+      val g = LocalGraph.fromEdges(edges)
+      def arrays = Seq(g.offsets, g.adjVert, g.adjEdge, g.edgeSrc, g.edgeDst).map(_.toSeq)
+      val before = arrays
+      BaselinePeeling.trussness(g, h)
+      assert(arrays == before, s"h=$h")
+      for (v <- 0 until g.n) {
+        val slice = g.adjVert.slice(g.offsets(v), g.offsets(v + 1))
+        assert(slice.toSeq == slice.distinct.sorted.toSeq, s"h=$h v=$v")
+      }
+    }
   }
 
   test("budget exceeded raises Budget.Exceeded") {

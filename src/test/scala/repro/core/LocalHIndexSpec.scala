@@ -24,7 +24,7 @@ class LocalHIndexSpec extends AnyFunSuite {
   /** The engine's ball index of ``g``, built on one thread. */
   private def ballIndex(g: LocalGraph, h: Int): BallIndex = {
     val scratch = new HopScratch(g)
-    val index   = new BallIndex(h, Array.tabulate(g.n)(scratch.ballSize(_, h)))
+    val index   = new BallIndex(h, Array.tabulate(g.n)(scratch.ballSize(_, h)), keyed = true)
     for (v <- 0 until g.n) scratch.fillBall(v, index)
     index
   }
@@ -238,6 +238,23 @@ class LocalHIndexSpec extends AnyFunSuite {
       val atCap = LocalHIndexDecomposition.run(g, h, cfg, storeBytes = needed)
       assert(atCap.trussness.toSeq == LocalHIndexDecomposition.decompose(g, h, cfg).trussness.toSeq, s"$cfg")
     }
+  }
+
+  test("an index for a given edge phase has no keys and needs 4 bytes per ball entry") {
+    val g       = LocalGraph.fromEdges(GraphGen.chungLu(120, 300, 2.3, 77))
+    val h       = 2
+    val index   = ballIndex(g, h)
+    val keyless = 4L * index.ballVert.length + 4L * index.shellOff.length + 8L * g.n
+    val noOp: LocalHIndexDecomposition.EdgePhase = (_, _, _, _, _) => ()
+    val cfg     = LocalHIndexConfig(threads = 4)
+    val err = intercept[IllegalArgumentException](
+      LocalHIndexDecomposition.run(g, h, cfg, storeBytes = keyless - 1, edgePhase = Some(noOp)))
+    assert(err.getMessage.contains(s"needs $keyless bytes"), err.getMessage)
+    val res = LocalHIndexDecomposition.run(g, h, cfg, storeBytes = keyless, edgePhase = Some(noOp))
+    assert(res.converged && res.rounds == 1)
+    assert(res.trussness.toSeq == HSupport.local(g, h).map(_ + 2).toSeq)
+    // The default edge phase reads the keys, so the same cap is too small for it.
+    intercept[IllegalArgumentException](LocalHIndexDecomposition.run(g, h, cfg, storeBytes = keyless))
   }
 
   test("h beyond n - 1 hops gives the baseline's trussness") {
