@@ -39,8 +39,8 @@ object BaselinePeeling {
     if (g.m == 0) new Array[Int](0) else new Peel(g, h, deadlineNanos).run()
   }
 
-  /** The state of one peel. */
-  private final class Peel(g: LocalGraph, h: Int, deadlineNanos: Long) {
+  /** The state of one peel of a graph with edges. */
+  private[core] final class Peel(g: LocalGraph, h: Int, deadlineNanos: Long) {
     private val n = g.n
 
     // Live adjacency: the live entries of v are at offsets(v) until
@@ -57,15 +57,18 @@ object BaselinePeeling {
 
     // Each BFS marks its visits with a fresh token. ballMark holds the last
     // marked ball, whose token is ballToken; nearMark the affected vertices
-    // of the last deletion, listed in near; visit any other BFS.
-    private var token     = 0
-    private var ballToken = 0
-    private val ballMark  = new Array[Int](n)
-    private val nearMark  = new Array[Int](n)
-    private val visit     = new Array[Int](n)
-    private val queue     = new Array[Int](n)
-    private val near      = new Array[Int](n)
-    private var supports  = 0 // support counts so far, for the budget checks
+    // of the last deletion, listed in near; visit any other BFS. Before a
+    // step (the order-0 supports, or one deletion) whose at most 1 + n + m
+    // BFSes could wrap the tokens, they restart at 0 over cleared marks;
+    // tests may start them near that threshold.
+    private[core] var token = 0
+    private var ballToken   = 0
+    private val ballMark    = new Array[Int](n)
+    private val nearMark    = new Array[Int](n)
+    private val visit       = new Array[Int](n)
+    private val queue       = new Array[Int](n)
+    private val near        = new Array[Int](n)
+    private var supports    = 0 // support counts so far, for the budget checks
 
     /** BFS over the live adjacency to depth ``depth`` from the ``seeds``
       * vertices at the head of ``out``, marking each visit in ``mark``;
@@ -110,6 +113,11 @@ object BaselinePeeling {
       s
     }
 
+    private def reserveTokens(): Unit = if (token > Int.MaxValue - (n.toLong + g.m + 2)) {
+      for (mark <- Seq(ballMark, nearMark, visit)) java.util.Arrays.fill(mark, 0)
+      token = 0
+    }
+
     private def degree(v: Int): Int = liveEnd(v) - g.offsets(v)
 
     /** Swap-removes edge ``e`` from the live slices of both endpoints. */
@@ -128,6 +136,7 @@ object BaselinePeeling {
     def run(): Array[Int] = {
       val m   = g.m
       val sup = new Array[Int](m)
+      reserveTokens()
       for (e <- 0 until m) {
         val u = g.edgeSrc(e)
         if (e == 0 || u != g.edgeSrc(e - 1)) markBall(u)
@@ -155,6 +164,7 @@ object BaselinePeeling {
           // live entry sits in the bin of its current key max(sup+2, k)).
           if (t(cand) == 0 && math.max(sup(cand) + 2, k) == k) {
             Budget.check(deadlineNanos)
+            reserveTokens()
             t(cand) = k
             processed += 1
             unlink(cand)

@@ -5,10 +5,8 @@ import org.apache.spark.sql.functions._
 import repro.graph.{HopNeighborhoods, LocalGraph}
 
 /** h-support computation: ``sup_G(e, h) = |Δ_G(e, h)|``, the number of
-  * common h-neighbors of the edge's endpoints (Definition 3). Provided in
-  * both distributed (DataFrame joins over the h-hop pair table) and local
-  * (CSR + BFS) forms; tests cross-check the two and, for h <= 2, a DuckDB
-  * SQL formulation via the test oracle ``repro.Oracle``.
+  * common h-neighbors of the edge's endpoints (Definition 3), by DataFrame
+  * joins over the h-hop pair table and as the local engine's order-0 step.
   */
 object HSupport {
 
@@ -26,18 +24,12 @@ object HSupport {
       .select(col("eid"), coalesce(col("sup"), lit(0)) as "sup")
   }
 
-  /** Local h-support for all edges, aligned with the CSR edge indices.
+  /** Local h-support for all edges, aligned with the CSR edge indices: the
+    * local engine's order-0 step, [[LocalHIndexDecomposition.decompose]] at
+    * ``maxRounds = 0`` on one thread, minus 2. It requires ``h >= 1``.
     * ``deadlineNanos``: cooperative budget, see [[Budget]].
     */
-  def local(g: LocalGraph, h: Int, deadlineNanos: Long = Long.MaxValue): Array[Int] = {
-    val scratch = new HopScratch(g)
-    val out = new Array[Int](g.m)
-    var e = 0
-    while (e < g.m) {
-      if ((e & 63) == 0) Budget.check(deadlineNanos)
-      out(e) = scratch.support(g.edgeSrc(e), g.edgeDst(e), h, null)
-      e += 1
-    }
-    out
-  }
+  def local(g: LocalGraph, h: Int, deadlineNanos: Long = Long.MaxValue): Array[Int] =
+    LocalHIndexDecomposition.decompose(g, h, LocalHIndexConfig(maxRounds = 0, deadlineNanos = deadlineNanos))
+      .trussness.map(_ - 2)
 }

@@ -47,14 +47,15 @@ final class BallIndex(val h: Int, ballSize: Array[Int], keyed: Boolean) {
 
 /** Per-thread scratch workspace for h-hop computations on a [[LocalGraph]].
   *
-  * Holds reusable stamped arrays for two simultaneous BFS frontiers (one per
-  * edge endpoint), two pairs of hop-bounded maximin ("widest path") DP
-  * buffers of Algorithm 3, and the contributions and counting buffers of
-  * the H-index aggregation — all allocation-free in steady state. One
-  * instance per worker thread; instances must not be shared across threads.
+  * Holds a stamped BFS buffer, a BFS order per edge endpoint, two pairs of
+  * hop-bounded maximin ("widest path") DP buffers of Algorithm 3, and the
+  * contributions and counting buffers of the H-index aggregation — all
+  * allocation-free in steady state. One instance per worker thread;
+  * instances must not be shared across threads.
   *
-  * Algorithm 3's order-n value of ``e = (u, v)`` depends only on the
-  * maximin keys of ``u`` and ``v``, so every round runs over a
+  * [[storeSupports]] counts the order-0 values, the h-supports, from the
+  * index's balls. Algorithm 3's order-n value of ``e = (u, v)`` depends
+  * only on the maximin keys of ``u`` and ``v``, so every round runs over a
   * [[BallIndex]] that stores each vertex's keys: [[storeKeys]] rewrites one
   * vertex's keys and [[storeHIndices]], a round's one edge phase, combines
   * the keys of each edge's endpoints. It rewrites each stale key it meets
@@ -74,11 +75,9 @@ final class BallIndex(val h: Int, ballSize: Array[Int], keyed: Boolean) {
 final class HopScratch(g: LocalGraph) {
   private var token = 0
 
-  private val stampU = new Array[Int](g.n)
-  private val distU  = new Array[Int](g.n)
+  private val stamp  = new Array[Int](g.n)
+  private val dist   = new Array[Int](g.n)
   private val orderU = new Array[Int](g.n)
-  private val stampV = new Array[Int](g.n)
-  private val distV  = new Array[Int](g.n)
   private val orderV = new Array[Int](g.n)
 
   // The U pair holds an edge phase's source keys; the V pair builds the
@@ -100,25 +99,6 @@ final class HopScratch(g: LocalGraph) {
 
   private def noKeys(): Array[Int] = { val a = new Array[Int](g.n); java.util.Arrays.fill(a, -1); a }
 
-  /** h-support of the edge ``(u, v)`` over ``alive`` edges (``null`` = all):
-    * the number of vertices within distance ``h`` of both endpoints,
-    * excluding the endpoints themselves.
-    */
-  def support(u: Int, v: Int, h: Int, alive: java.util.BitSet): Int = {
-    val tU   = nextToken()
-    val cntU = g.bfs(u, h, alive, stampU, tU, distU, orderU)
-    val tV   = nextToken()
-    g.bfs(v, h, alive, stampV, tV, distV, orderV)
-    var count = 0
-    var i = 0
-    while (i < cntU) {
-      val w = orderU(i)
-      if (w != u && w != v && stampV(w) == tV) count += 1
-      i += 1
-    }
-    count
-  }
-
   /** Order-0 values from the index: ``hval(e)`` is set to the h-support of
     * each edge ``e`` in ``from until until``. ``ball(u)`` is marked once per
     * run of edges with source ``u``; each edge then counts the marked
@@ -135,7 +115,7 @@ final class HopScratch(g: LocalGraph) {
         t = nextToken()
         var j = index.start(u)
         val end = index.end(u)
-        while (j < end) { stampU(vert(j)) = t; j += 1 }
+        while (j < end) { stamp(vert(j)) = t; j += 1 }
         marked = u
       }
       var count = 0
@@ -143,7 +123,7 @@ final class HopScratch(g: LocalGraph) {
       val end = index.end(g.edgeDst(e))
       while (j < end) {
         val w = vert(j)
-        if (w != u && stampU(w) == t) count += 1
+        if (w != u && stamp(w) == t) count += 1
         j += 1
       }
       hval(e) = count
@@ -208,8 +188,8 @@ final class HopScratch(g: LocalGraph) {
     * that ball; returns the key buffer and leaves the ball size in
     * ``ballCount``.
     */
-  private def bfsKeys(src: Int, h: Int, hval: Array[Int], stamp: Array[Int], dist: Array[Int],
-                      order: Array[Int], key1: Array[Int], key2: Array[Int]): Array[Int] = {
+  private def bfsKeys(src: Int, h: Int, hval: Array[Int], order: Array[Int],
+                      key1: Array[Int], key2: Array[Int]): Array[Int] = {
     val cnt = g.bfs(src, h, null, stamp, nextToken(), dist, order)
     if (ends.length <= h) ends = new Array[Int](h + 1)
     var j = 0
@@ -241,9 +221,9 @@ final class HopScratch(g: LocalGraph) {
   def computeHIndex(e: Int, h: Int, hval: Array[Int], cap: Int): Int = {
     val u = g.edgeSrc(e)
     val v = g.edgeDst(e)
-    val keyU = bfsKeys(u, h, hval, stampU, distU, orderU, keyU1, keyU2)
+    val keyU = bfsKeys(u, h, hval, orderU, keyU1, keyU2)
     val cntU = ballCount
-    val keyV = bfsKeys(v, h, hval, stampV, distV, orderV, keyV1, keyV2)
+    val keyV = bfsKeys(v, h, hval, orderV, keyV1, keyV2)
     val cntV = ballCount
     var nContrib = 0
     var i = 0
@@ -263,7 +243,7 @@ final class HopScratch(g: LocalGraph) {
   }
 
   /** Count pass of [[BallIndex]] construction: ``|ball_h(v)|``. */
-  def ballSize(v: Int, h: Int): Int = g.bfs(v, h, null, stampU, nextToken(), distU, orderU)
+  def ballSize(v: Int, h: Int): Int = g.bfs(v, h, null, stamp, nextToken(), dist, orderU)
 
   /** Fill pass of [[BallIndex]] construction: copies ``ball_h(v)`` in BFS
     * order into ``index.ballVert`` from ``index.start(v)`` and sets the
@@ -271,13 +251,13 @@ final class HopScratch(g: LocalGraph) {
     */
   def fillBall(v: Int, index: BallIndex): Unit = {
     val h     = index.h
-    val cnt   = g.bfs(v, h, null, stampU, nextToken(), distU, orderU)
+    val cnt   = g.bfs(v, h, null, stamp, nextToken(), dist, orderU)
     val start = index.start(v)
     System.arraycopy(orderU, 0, index.ballVert, start, cnt)
     var j = 0
     var k = 1
     while (k <= h) {
-      while (j < cnt && distU(orderU(j)) < k) j += 1
+      while (j < cnt && dist(orderU(j)) < k) j += 1
       index.shellOff(v * (h + 1) + k) = start + j
       k += 1
     }
@@ -399,8 +379,7 @@ final class HopScratch(g: LocalGraph) {
     * probes call it, to time a walk over every vertex's ``h - 1`` ball.
     */
   def forEachBallVertex(src: Int, depth: Int, alive: java.util.BitSet)(f: Int => Unit): Unit = {
-    val t   = nextToken()
-    val cnt = g.bfs(src, depth, alive, stampU, t, distU, orderU)
+    val cnt = g.bfs(src, depth, alive, stamp, nextToken(), dist, orderU)
     var i = 0
     while (i < cnt) { f(orderU(i)); i += 1 }
   }

@@ -104,7 +104,7 @@ object LocalHIndexDecomposition {
   /** [[decompose]] with at most ``storeBytes`` bytes for the ball index,
     * whose rounds run ``edgePhase`` if given and otherwise
     * [[HopScratch.storeHIndices]] on ``config.threads`` threads. Only the
-    * latter reads keys, so with an ``edgePhase`` the index holds none.
+    * latter reads keys: with an ``edgePhase``, or no rounds, there are none.
     */
   private[core] def run(g: LocalGraph, hop: Int, config: LocalHIndexConfig,
                         storeBytes: Long = Runtime.getRuntime.maxMemory / 4,
@@ -162,7 +162,7 @@ object LocalHIndexDecomposition {
       var entries  = 0L
       for (size <- ballSize) entries += size
       val shellLen = g.n.toLong * (h + 1) + 1
-      val keyed    = edgePhase.isEmpty
+      val keyed    = edgePhase.isEmpty && config.maxRounds > 0
       val bytes    = (if (keyed) 8 else 4) * entries + 4 * shellLen + 8L * g.n
       require(entries <= MaxArray && shellLen <= MaxArray && bytes <= storeBytes,
         s"the ball index at h=$h needs $bytes bytes in arrays of up to ${math.max(entries, shellLen)} " +

@@ -62,7 +62,7 @@ object SparkHIndexDecomposition {
   /** Run the decomposition over a canonical edge DataFrame
     * (``src, dst, eid`` — see [[repro.graph.EdgeList]]).
     */
-  def decompose(edges: DataFrame, h: Int, mode: Mode = Sync, maxRounds: Int = 10000,
+  def decompose(edges: DataFrame, h: Int, mode: Mode = Sync, maxRounds: Int = LocalHIndexConfig().maxRounds,
                 deadlineNanos: Long = Long.MaxValue): Result = {
     val spark  = edges.sparkSession
     val sc     = spark.sparkContext

@@ -13,10 +13,10 @@ import org.apache.spark.sql.DataFrame
   * The adjacency arrays carry, for each ``(v, neighbor)`` slot, the id of
   * the connecting edge (``adjEdge``) so per-edge key lookups during BFS are
   * O(1); each vertex's slice is strictly increasing by neighbor id. No
-  * algorithm writes these arrays: the oracles treat deletions via an
-  * ``alive`` bitmask, and the peeling baseline swap-removes edges from a
-  * private copy of the adjacency. The graph is ``Serializable``, so the
-  * Spark engine can broadcast it.
+  * algorithm writes these arrays: the test oracles delete edges from an
+  * ``alive`` mask that [[bfs]] takes, and the peeling baseline swap-removes
+  * them from a private copy of the adjacency. The graph is
+  * ``Serializable``, so the Spark engine can broadcast it.
   */
 final class LocalGraph private (
     val n: Int,
@@ -41,14 +41,11 @@ final class LocalGraph private (
   def degree(v: Int): Int = offsets(v + 1) - offsets(v)
 
   /** BFS from ``src`` to depth ``maxHops`` over edges where ``alive`` is
-    * true (null = all alive). Returns the visited dense vertices (including
-    * ``src``) and their distances, via the provided scratch buffers:
-    * ``stamp``/``token`` implement O(1) resettable visited marks and
-    * ``dist`` holds distances for stamped vertices. ``out`` receives the
-    * visit order. Returns the number of visited vertices.
-    *
-    * Scratch-buffer contract: arrays must have length >= n; ``token`` must
-    * be unique per call (caller increments it).
+    * true (null = all alive). Lists the visited vertices in BFS order,
+    * ``src`` first, in ``out``, marks each with ``token`` in ``stamp`` and
+    * its distance in ``dist``, and returns their number. Every array must
+    * have length >= n, and ``token`` must differ from every earlier mark in
+    * ``stamp``.
     */
   def bfs(src: Int, maxHops: Int, alive: java.util.BitSet,
           stamp: Array[Int], token: Int, dist: Array[Int], out: Array[Int]): Int = {

@@ -102,6 +102,21 @@ class BaselinePeelingSpec extends AnyFunSuite {
     }
   }
 
+  test("BFS tokens started just below the restart threshold give the same trussness") {
+    // The order-0 supports take the last tokens below the threshold, so the
+    // first deletion step restarts them at 0 over cleared marks.
+    for ((edges, i) <- TestGraphs.randomPool(8, 18, 900).zipWithIndex; h <- 1 to 3) {
+      val g     = LocalGraph.fromEdges(edges)
+      val start = (Int.MaxValue - (g.n.toLong + g.m + 2)).toInt
+      val peel  = new BaselinePeeling.Peel(g, h, Long.MaxValue)
+      peel.token = start
+      val got = peel.run().toSeq
+      assert(peel.token >= 0 && peel.token < start, s"rand$i h=$h: the tokens did not restart")
+      assert(got == BaselinePeeling.trussness(g, h).toSeq, s"rand$i h=$h")
+      assert(got == BruteForce.trussness(g, h).toSeq, s"rand$i h=$h")
+    }
+  }
+
   test("budget exceeded raises Budget.Exceeded") {
     val g = LocalGraph.fromEdges(GraphGen.smallWorld(400, 8, 0.1, 3))
     intercept[Budget.Exceeded] {

@@ -10,21 +10,41 @@ import repro.graph.LocalGraph
   * ``k - 2`` until stable. Iterated deletion yields the unique maximal
   * subgraph satisfying the constraint, matching Definition 4 directly.
   * Complexity is O(k_max * m^2 * ball), fine for test-scale graphs only.
+  * The oracle counts supports itself, by two BFSes per edge over
+  * [[LocalGraph.bfs]], and shares no code with the engines' ``HopScratch``.
   */
 object BruteForce {
+
+  /** h-supports of edges over an alive-edge mask, in reused BFS buffers. */
+  final class Support(g: LocalGraph, h: Int) {
+    private val stampU, stampV, dist, order = new Array[Int](g.n)
+    private var token = 0
+
+    /** h-support of edge ``e`` over the ``alive`` edges: the number of
+      * vertices other than its endpoints within ``h`` hops of both.
+      */
+    def apply(e: Int, alive: java.util.BitSet): Int = {
+      val u = g.edgeSrc(e)
+      val v = g.edgeDst(e)
+      token += 1
+      g.bfs(v, h, alive, stampV, token, dist, order)
+      val cnt = g.bfs(u, h, alive, stampU, token, dist, order)
+      (0 until cnt).count { i => val w = order(i); w != u && w != v && stampV(w) == token }
+    }
+  }
 
   /** The maximal subgraph (as an alive-edge mask) of ``alive`` in which
     * every edge has h-support >= ``k - 2``.
     */
   def khTruss(g: LocalGraph, h: Int, k: Int, alive: java.util.BitSet): java.util.BitSet = {
     val cur     = alive.clone().asInstanceOf[java.util.BitSet]
-    val scratch = new HopScratch(g)
+    val support = new Support(g, h)
     var changed = true
     while (changed) {
       changed = false
       var e = cur.nextSetBit(0)
       while (e >= 0) {
-        if (scratch.support(g.edgeSrc(e), g.edgeDst(e), h, cur) < k - 2) {
+        if (support(e, cur) < k - 2) {
           cur.clear(e)
           changed = true
         }

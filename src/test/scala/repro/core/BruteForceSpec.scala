@@ -81,12 +81,12 @@ class BruteForceSpec extends AnyFunSuite {
   test("khTruss is a fixpoint: every surviving edge meets the threshold") {
     val g = LocalGraph.fromEdges(GraphGen.erdosRenyi(15, 30, 33))
     val all = new java.util.BitSet(g.m); all.set(0, g.m)
-    val scratch = new HopScratch(g)
     for (h <- 1 to 2; k <- 3 to 6) {
-      val mask = BruteForce.khTruss(g, h, k, all)
+      val mask    = BruteForce.khTruss(g, h, k, all)
+      val support = new BruteForce.Support(g, h)
       var e = mask.nextSetBit(0)
       while (e >= 0) {
-        assert(scratch.support(g.edgeSrc(e), g.edgeDst(e), h, mask) >= k - 2)
+        assert(support(e, mask) >= k - 2)
         e = mask.nextSetBit(e + 1)
       }
     }

@@ -3,8 +3,9 @@ package repro.core
 import repro.{NaiveReference, Oracle, SparkSpec, TestGraphs}
 import repro.graph.{EdgeList, GraphGen, LocalGraph}
 
-/** h-support: local vs naive, distributed vs local, and DuckDB oracle
-  * formulations for h = 1 (triangle counting) and h = 2.
+/** h-support: the local engine's order-0 step vs naive, distributed vs
+  * local, and DuckDB oracle formulations for h = 1 (triangle counting) and
+  * h = 2.
   */
 class HSupportSpec extends SparkSpec {
 
@@ -45,10 +46,12 @@ class HSupportSpec extends SparkSpec {
   }
 
   test("local h-support matches naive reference on random graphs, h in 1..3") {
-    for (seed <- 0 until 10) {
-      val edges = TestGraphs.randomPool(1, 24, 400 + seed).head
+    // The empty graph first; every graph rejects h = 0, as the engine does.
+    val graphs = Seq.empty[(Int, Int)] +: (0 until 10).map(seed => TestGraphs.randomPool(1, 24, 400 + seed).head)
+    for ((edges, i) <- graphs.zipWithIndex) {
       for (h <- 1 to 3)
-        assert(localSup(edges, h) == NaiveReference.hSupport(edges, h), s"seed=$seed h=$h")
+        assert(localSup(edges, h) == NaiveReference.hSupport(edges, h), s"graph$i h=$h")
+      intercept[IllegalArgumentException](localSup(edges, 0))
     }
   }
 

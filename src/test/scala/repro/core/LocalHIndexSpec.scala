@@ -2,6 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.{NaiveReference, TestGraphs}
+import repro.TestGraphs.GraphOps
 import repro.graph.{GraphGen, LocalGraph}
 
 /** The shared-memory H-index engine (Paral/Single/Asyn/Paral+) against the
@@ -109,8 +110,9 @@ class LocalHIndexSpec extends AnyFunSuite {
   test("order-0 values are the h-supports") {
     val g = LocalGraph.fromEdges(TestGraphs.fig1Like)
     for (h <- 1 to 3) {
-      val r = LocalHIndexDecomposition.decompose(g, h, LocalHIndexConfig(threads = 2, maxRounds = 0))
-      assert(r.trussness.map(_ - 2).toSeq == HSupport.local(g, h).toSeq)
+      val r      = LocalHIndexDecomposition.decompose(g, h, LocalHIndexConfig(threads = 2, maxRounds = 0))
+      val expect = NaiveReference.hSupport(TestGraphs.fig1Like, h)
+      assert(r.trussness.map(_ - 2).toSeq == g.edgePairs.map(expect), s"h=$h")
     }
   }
 
@@ -144,7 +146,8 @@ class LocalHIndexSpec extends AnyFunSuite {
       val g = LocalGraph.fromEdges(edges)
       val got = new Array[Int](g.m)
       new HopScratch(g).storeSupports(ballIndex(g, h), 0, g.m, got)
-      assert(got.toSeq == HSupport.local(g, h).toSeq, s"pool$i h=$h")
+      val expect = (0 until g.m).map(e => g.commonHNeighbors(g.edgeSrc(e), g.edgeDst(e), h).size)
+      assert(got.toSeq == expect, s"pool$i h=$h")
     }
   }
 
@@ -253,8 +256,11 @@ class LocalHIndexSpec extends AnyFunSuite {
     val res = LocalHIndexDecomposition.run(g, h, cfg, storeBytes = keyless, edgePhase = Some(noOp))
     assert(res.converged && res.rounds == 1)
     assert(res.trussness.toSeq == HSupport.local(g, h).map(_ + 2).toSeq)
-    // The default edge phase reads the keys, so the same cap is too small for it.
+    // The default edge phase reads the keys, so the same cap is too small for
+    // it, but not for a run of no rounds.
     intercept[IllegalArgumentException](LocalHIndexDecomposition.run(g, h, cfg, storeBytes = keyless))
+    val supports = LocalHIndexDecomposition.run(g, h, cfg.copy(maxRounds = 0), storeBytes = keyless)
+    assert(supports.trussness.toSeq == res.trussness.toSeq)
   }
 
   test("h beyond n - 1 hops gives the baseline's trussness") {
