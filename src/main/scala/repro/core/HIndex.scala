@@ -15,43 +15,35 @@ object HIndex {
 
   /** H-index of the first ``len`` slots of ``values`` with an upper bound
     * ``cap``: equivalent to ``min(cap, hIndex(values.take(len)))`` but
-    * using a counting array of size ``min(cap, len) + 1`` — O(len) time,
-    * no sort. The engines pass the previous-round value as cap (the
-    * sequence is non-increasing, Thm. 1). This form allocates its counting
-    * array.
+    * using a counting array of size ``bound + 1``, ``bound = min(cap,
+    * len)`` — O(len) time, no sort. The engines count contributions the
+    * same way in their scratch ([[HopScratch]]), with the previous-round
+    * value as cap (the sequence is non-increasing, Thm. 1), and share
+    * [[countDown]].
     */
   def boundedHIndex(values: Array[Int], len: Int, cap: Int): Int = {
     val bound = math.min(cap.toLong, len.toLong).toInt
-    if (bound <= 0) 0 else countDown(values, len, bound, new Array[Int](bound + 1))
-  }
-
-  /** The engines' hot path: [[boundedHIndex]] counting in their scratch's
-    * ``counts``, which must be longer than ``min(cap, len)``; its first
-    * ``min(cap, len) + 1`` slots are overwritten.
-    */
-  def boundedHIndex(values: Array[Int], len: Int, cap: Int, counts: Array[Int]): Int = {
-    val bound = math.min(cap.toLong, len.toLong).toInt
     if (bound <= 0) return 0
-    java.util.Arrays.fill(counts, 0, bound + 1, 0)
-    countDown(values, len, bound, counts)
-  }
-
-  /** H-index bounded by ``bound >= 1``, counting in ``counts``, which is
-    * zero in slots ``0 .. bound``.
-    */
-  private def countDown(values: Array[Int], len: Int, bound: Int, counts: Array[Int]): Int = {
+    val counts = new Array[Int](bound + 1)
     var i = 0
     while (i < len) {
       val v = values(i)
       counts(if (v < bound) v else bound) += 1
       i += 1
     }
+    countDown(counts, bound, counts(bound))
+  }
+
+  /** H-index bounded by ``bound >= 1`` of values counted as ``counts(c)``
+    * values equal to ``c < bound`` and ``top`` values ``>= bound``.
+    */
+  private[core] def countDown(counts: Array[Int], bound: Int, top: Int): Int = {
     var h   = bound
-    var acc = 0
+    var acc = top
     while (h > 0) {
-      acc += counts(h)
       if (acc >= h) return h
       h -= 1
+      acc += counts(h)
     }
     0
   }

@@ -6,13 +6,12 @@ import repro.graph.LocalGraph
   * the per-vertex key store every round of the local engine shares (see
   * [[HopScratch]]). The engine builds it once per decomposition, in every
   * mode: ``ballSize(v) = |ball_h(v)|`` sizes it, and [[HopScratch.fillBall]]
-  * fills in each ball and its shell offsets.
+  * fills in each ball and where its rim starts.
   *
-  * ``shellOff(v * (h + 1) + k)``, ``k = 0 .. h``, is the start in
-  * ``ballVert`` of the vertices at distance exactly ``k`` from ``v`` (shell
-  * 0 is ``v`` itself), so ``ballVert(start(v) until end(v))`` is
-  * ``ball_h(v)`` in BFS order and ``ballVert(start(v) until nearEnd(v))``
-  * is ``ball_{h-1}(v)``. ``keys(j)`` is the maximin key from ``v`` to
+  * ``ballOff`` holds three offsets into ``ballVert`` per vertex, whatever
+  * ``h``: ``ballVert(start(v) until end(v))`` is ``ball_h(v)`` in BFS order
+  * (``v`` itself first) and ``ballVert(start(v) until nearEnd(v))`` is
+  * ``ball_{h-1}(v)``. ``keys(j)`` is the maximin key from ``v`` to
   * ``ballVert(j)``; it is ``null`` unless ``keyed``, since an index whose
   * keys no edge phase reads needs none. Each array holds ``Σ|ball_h(v)|``
   * ints, each ball counting its root: 8 bytes per ball entry in all, or 4
@@ -20,24 +19,24 @@ import repro.graph.LocalGraph
   *
   * Freshness: ``v``'s keys depend only on the values of edges with an
   * endpoint within ``h - 1`` hops of ``v``. ``touched(v)`` is the last round
-  * at whose end such an edge was found changed (0 = none) and
-  * ``written(v)`` the last round in which ``v``'s keys were written (0 =
-  * never), so the keys may be stale exactly when [[stale]] holds. Rounds
-  * count from 1.
+  * at whose end such an edge was found changed in a way that can lower one
+  * of ``v``'s keys (0 = none; see [[HopScratch.walk]]) and ``written(v)`` the
+  * last round in which ``v``'s keys were written (0 = never), so the keys
+  * may be stale exactly when [[stale]] holds. Rounds count from 1.
   */
 final class BallIndex(val h: Int, ballSize: Array[Int], keyed: Boolean) {
   private val n = ballSize.length
-  val shellOff = new Array[Int](n * (h + 1) + 1)
-  for (v <- 0 until n) shellOff((v + 1) * (h + 1)) = shellOff(v * (h + 1)) + ballSize(v)
-  val ballVert = new Array[Int](shellOff(n * (h + 1)))
+  val ballOff = new Array[Int](2 * n + 1)
+  for (v <- 0 until n) ballOff(2 * v + 2) = ballOff(2 * v) + ballSize(v)
+  val ballVert = new Array[Int](ballOff(2 * n))
   val keys     = if (keyed) new Array[Int](ballVert.length) else null
 
   val touched = new Array[Int](n)
   val written = new java.util.concurrent.atomic.AtomicIntegerArray(n)
 
-  def start(v: Int): Int   = shellOff(v * (h + 1))
-  def nearEnd(v: Int): Int = shellOff(v * (h + 1) + h)
-  def end(v: Int): Int     = shellOff((v + 1) * (h + 1))
+  def start(v: Int): Int   = ballOff(2 * v)
+  def nearEnd(v: Int): Int = ballOff(2 * v + 1)
+  def end(v: Int): Int     = ballOff(2 * v + 2)
 
   /** Whether ``v``'s stored keys may differ from keys built from the
     * current values.
@@ -47,11 +46,11 @@ final class BallIndex(val h: Int, ballSize: Array[Int], keyed: Boolean) {
 
 /** Per-thread scratch workspace for h-hop computations on a [[LocalGraph]].
   *
-  * Holds a stamped BFS buffer, a BFS order per edge endpoint, two pairs of
-  * hop-bounded maximin ("widest path") DP buffers of Algorithm 3, and the
-  * contributions and counting buffers of the H-index aggregation — all
-  * allocation-free in steady state. One instance per worker thread;
-  * instances must not be shared across threads.
+  * Holds a stamped BFS buffer, a BFS order per edge endpoint, one key
+  * buffer per endpoint for the hop-bounded maximin ("widest path") DP of
+  * Algorithm 3 with its frontier, and the counting buffer of the H-index
+  * aggregation — all allocation-free in steady state. One instance per
+  * worker thread; instances must not be shared across threads.
   *
   * [[storeSupports]] counts the order-0 values, the h-supports, from the
   * index's balls. Algorithm 3's order-n value of ``e = (u, v)`` depends
@@ -65,35 +64,36 @@ final class BallIndex(val h: Int, ballSize: Array[Int], keyed: Boolean) {
   * Spark engine's tasks run it, and the tests hold the local engine's
   * indexed rounds to it.
   *
-  * Both maximin DPs make at most ``h`` sweeps, and sweep ``d`` relaxes only
-  * the BFS-order prefix at distance ``<= d + 1``, pushing from the prefix
-  * at distance ``<= d``: no vertex farther out has a path of ``d + 1`` hops
-  * yet, so the ball's rim is never scanned. A DP stops at its first sweep
-  * that changes no key. The key buffers hold -1 outside any call, so a
-  * vertex outside the ball never contributes.
+  * The maximin DP makes at most ``h`` sweeps, and sweep ``d`` pushes only
+  * from the frontier, the vertices whose key rose in sweep ``d - 1``: any
+  * other vertex pushed its key already. It stops at the first sweep that
+  * raises no key. Both H-index counts stop once ``min(cap, candidates)``
+  * contributions reach that bound, which is then the value. The key
+  * buffers hold -1 outside any call, so a vertex outside the ball never
+  * contributes.
   */
 final class HopScratch(g: LocalGraph) {
   private var token = 0
 
   private val stamp  = new Array[Int](g.n)
+  // BFS distances; within a maximin DP, -1 marks the next frontier's vertices.
   private val dist   = new Array[Int](g.n)
   private val orderU = new Array[Int](g.n)
   private val orderV = new Array[Int](g.n)
 
-  // The U pair holds an edge phase's source keys; the V pair builds the
-  // keys stored for any other vertex.
-  private val keyU1 = noKeys()
-  private val keyU2 = noKeys()
-  private val keyV1 = noKeys()
-  private val keyV2 = noKeys()
+  // keyU holds an edge phase's source keys; keyV builds the keys stored
+  // for any other vertex.
+  private val keyU = noKeys()
+  private val keyV = noKeys()
 
-  // Per-edge DP: ends of the BFS-order prefixes at distance 0 .. h.
-  private var ends = new Array[Int](4)
-  // Ball size found by the last bfsKeys.
-  private var ballCount = 0
+  // The DP's frontier with its keys as they stood when it was complete, and
+  // the next one.
+  private var front    = new Array[Int](g.n)
+  private val frontKey = new Array[Int](g.n)
+  private var next     = new Array[Int](g.n)
 
-  private var contrib = new Array[Int](64)
-  private var counts  = new Array[Int](65)
+  // counts(c): contributions equal to c below an H-index count's bound.
+  private val counts = new Array[Int](g.n)
 
   private def nextToken(): Int = { token += 1; token }
 
@@ -131,87 +131,75 @@ final class HopScratch(g: LocalGraph) {
     }
   }
 
-  /** Hop-bounded maximin path keys (Algorithm 3's BFS/DP) from the root
-    * ``ball(from)`` of a ball listed in BFS order in ``ball(from until
-    * ends(endsAt + h))``, where ``ends(endsAt + d)`` ends the prefix at
-    * distance ``<= d``: for every ball vertex ``w``, ``key(w) = max over
-    * paths p from the root to w with |p| <= h of min over edges e in p of
-    * hval(e)``. Sweep ``d`` relaxes the prefix at distance ``<= d + 1`` by
-    * pushing from the prefix at distance ``<= d``, the only vertices with a
-    * key yet; every neighbour of those lies in the ball. A sweep that
-    * changes no key leaves no vertex at distance ``d + 1``, so every later
-    * sweep would give the same keys: the DP stops there, and its sweeps are
-    * bounded by the ball's depth rather than by ``h``. Returns the one of
-    * ``key1``/``key2`` holding the keys; the caller resets both to -1 over
-    * the ball.
+  /** Hop-bounded maximin path keys (Algorithm 3's BFS/DP) from ``root``
+    * into ``key``, which holds -1 over ``ball_h(root)``: for every ball
+    * vertex ``w``, ``key(w) = max over paths p from root to w with |p| <= h
+    * of min over edges e in p of hval(e)``. After sweep ``d`` each key is
+    * the best over paths of at most ``d + 1`` hops. Sweep ``d`` pushes only
+    * from the vertices whose key rose in sweep ``d - 1``, with their keys
+    * as they stood at its end, so no key gains more than one hop per
+    * sweep; every other vertex pushed the same key in an earlier sweep, and
+    * every neighbour of the frontier lies in the ball. A sweep that raises
+    * no key leaves an empty frontier, so the DP stops there, and its sweeps
+    * are bounded by the ball's depth rather than by ``h``. The caller
+    * resets ``key`` to -1 over the ball.
     */
-  private def maximinKeys(ball: Array[Int], from: Int, ends: Array[Int], endsAt: Int, h: Int,
-                          hval: Array[Int], key1: Array[Int], key2: Array[Int]): Array[Int] = {
-    key1(ball(from)) = Int.MaxValue
-    var ka = key1
-    var kb = key2
-    var changed = true
+  private def maximinKeys(root: Int, h: Int, hval: Array[Int], key: Array[Int]): Unit = {
+    key(root) = Int.MaxValue
+    front(0) = root
+    frontKey(0) = Int.MaxValue
+    var size = 1
     var d = 0
-    while (d < h && changed) {
-      changed = false
-      val reach = ends(endsAt + d + 1)
-      var j = from
-      while (j < reach) { val w = ball(j); kb(w) = ka(w); j += 1 }
-      val frontier = ends(endsAt + d)
-      j = from
-      while (j < frontier) {
-        val x   = ball(j)
-        val kx  = ka(x)
+    while (d < h && size > 0) {
+      var nNext = 0
+      var i = 0
+      while (i < size) {
+        val x   = front(i)
+        val kx  = frontKey(i)
         var p   = g.offsets(x)
         val end = g.offsets(x + 1)
         while (p < end) {
           val he   = hval(g.adjEdge(p))
           val cand = if (kx < he) kx else he
           val y    = g.adjVert(p)
-          if (cand > kb(y)) { kb(y) = cand; changed = true }
+          if (cand > key(y)) {
+            key(y) = cand
+            if (dist(y) != -1) { dist(y) = -1; next(nNext) = y; nNext += 1 }
+          }
           p += 1
         }
-        j += 1
+        i += 1
       }
-      val tmp = ka; ka = kb; kb = tmp
+      i = 0
+      while (i < nNext) { val y = next(i); frontKey(i) = key(y); dist(y) = 0; i += 1 }
+      val tmp = front; front = next; next = tmp
+      size = nNext
       d += 1
     }
-    ka
   }
 
-  private def resetKeys(ball: Array[Int], from: Int, until: Int, key1: Array[Int], key2: Array[Int]): Unit = {
+  private def resetKeys(ball: Array[Int], from: Int, until: Int, key: Array[Int]): Unit = {
     var j = from
-    while (j < until) { val w = ball(j); key1(w) = -1; key2(w) = -1; j += 1 }
+    while (j < until) { key(ball(j)) = -1; j += 1 }
   }
 
-  /** BFS from ``src`` into ``order``/``dist``, then the maximin DP over
-    * that ball; returns the key buffer and leaves the ball size in
-    * ``ballCount``.
+  /** BFS from ``src`` into ``order``, then the maximin DP over that ball
+    * into ``key``; returns the ball size.
     */
-  private def bfsKeys(src: Int, h: Int, hval: Array[Int], order: Array[Int],
-                      key1: Array[Int], key2: Array[Int]): Array[Int] = {
+  private def bfsKeys(src: Int, h: Int, hval: Array[Int], order: Array[Int], key: Array[Int]): Int = {
     val cnt = g.bfs(src, h, null, stamp, nextToken(), dist, order)
-    if (ends.length <= h) ends = new Array[Int](h + 1)
-    var j = 0
-    var d = 0
-    while (d <= h) {
-      while (j < cnt && dist(order(j)) <= d) j += 1
-      ends(d) = j
-      d += 1
-    }
-    ballCount = cnt
-    maximinKeys(order, 0, ends, 0, h, hval, key1, key2)
+    maximinKeys(src, h, hval, key)
+    cnt
   }
 
-  private def hIndexOfContribs(n: Int, cap: Int): Int = {
-    if (counts.length <= n) counts = new Array[Int](contrib.length + 1)
-    HIndex.boundedHIndex(contrib, n, cap, counts)
-  }
+  /** Zeroes the counts below ``bound``, an H-index count's bound. */
+  private def clearCounts(bound: Int): Unit = if (bound > 0) java.util.Arrays.fill(counts, 0, bound, 0)
 
-  private def addContrib(n: Int, c: Int): Unit = {
-    if (n == contrib.length) contrib = java.util.Arrays.copyOf(contrib, contrib.length * 2)
-    contrib(n) = c
-  }
+  /** The H-index of a count bounded by ``bound``, with ``top``
+    * contributions at least ``bound``.
+    */
+  private def countedHIndex(bound: Int, top: Int): Int =
+    if (bound <= 0) 0 else HIndex.countDown(counts, bound, top)
 
   /** One Algorithm-3 step for one edge, the Spark engine's kernel: the
     * next-order H-index of edge ``e`` given the current per-edge keys
@@ -221,68 +209,60 @@ final class HopScratch(g: LocalGraph) {
   def computeHIndex(e: Int, h: Int, hval: Array[Int], cap: Int): Int = {
     val u = g.edgeSrc(e)
     val v = g.edgeDst(e)
-    val keyU = bfsKeys(u, h, hval, orderU, keyU1, keyU2)
-    val cntU = ballCount
-    val keyV = bfsKeys(v, h, hval, orderV, keyV1, keyV2)
-    val cntV = ballCount
-    var nContrib = 0
+    val cntU  = bfsKeys(u, h, hval, orderU, keyU)
+    val cntV  = bfsKeys(v, h, hval, orderV, keyV)
+    val bound = math.min(cap, cntU - 2)
+    clearCounts(bound)
+    var top = 0
     var i = 0
-    while (i < cntU) {
+    while (i < cntU && top < bound) {
       val w  = orderU(i)
       val kv = keyV(w)
       if (kv >= 0 && w != u && w != v) {
         val ku = keyU(w)
-        addContrib(nContrib, if (ku < kv) ku else kv)
-        nContrib += 1
+        val c  = if (ku < kv) ku else kv
+        if (c >= bound) top += 1 else counts(c) += 1
       }
       i += 1
     }
-    resetKeys(orderU, 0, cntU, keyU1, keyU2)
-    resetKeys(orderV, 0, cntV, keyV1, keyV2)
-    hIndexOfContribs(nContrib, cap)
+    resetKeys(orderU, 0, cntU, keyU)
+    resetKeys(orderV, 0, cntV, keyV)
+    countedHIndex(bound, top)
   }
 
   /** Count pass of [[BallIndex]] construction: ``|ball_h(v)|``. */
   def ballSize(v: Int, h: Int): Int = g.bfs(v, h, null, stamp, nextToken(), dist, orderU)
 
   /** Fill pass of [[BallIndex]] construction: copies ``ball_h(v)`` in BFS
-    * order into ``index.ballVert`` from ``index.start(v)`` and sets the
-    * start of each of its shells ``1 .. h``.
+    * order into ``index.ballVert`` from ``index.start(v)`` and sets
+    * ``index.nearEnd(v)``, the start of its rim at distance ``h``.
     */
   def fillBall(v: Int, index: BallIndex): Unit = {
-    val h     = index.h
-    val cnt   = g.bfs(v, h, null, stamp, nextToken(), dist, orderU)
+    val cnt   = g.bfs(v, index.h, null, stamp, nextToken(), dist, orderU)
     val start = index.start(v)
     System.arraycopy(orderU, 0, index.ballVert, start, cnt)
-    var j = 0
-    var k = 1
-    while (k <= h) {
-      while (j < cnt && dist(orderU(j)) < k) j += 1
-      index.shellOff(v * (h + 1) + k) = start + j
-      k += 1
-    }
+    var j = cnt
+    while (j > 0 && dist(orderU(j - 1)) == index.h) j -= 1
+    index.ballOff(2 * v + 1) = start + j
   }
 
-  /** Maximin keys of ``v`` over ``hval``, built in ``key1``/``key2``
-    * (which the caller resets) and written into ``index.keys``; records
-    * ``v`` as written in ``round``.
+  /** Maximin keys of ``v`` over ``hval``, built in ``key`` (which the
+    * caller resets) and written into ``index.keys``; records ``v`` as
+    * written in ``round``.
     */
-  private def buildKeys(v: Int, index: BallIndex, hval: Array[Int], round: Int,
-                        key1: Array[Int], key2: Array[Int]): Array[Int] = {
+  private def buildKeys(v: Int, index: BallIndex, hval: Array[Int], round: Int, key: Array[Int]): Unit = {
     val vert = index.ballVert
-    val from = index.start(v)
     val end  = index.end(v)
-    val key  = maximinKeys(vert, from, index.shellOff, v * (index.h + 1) + 1, index.h, hval, key1, key2)
-    var j = from
+    maximinKeys(v, index.h, hval, key)
+    var j = index.start(v)
     while (j < end) { index.keys(j) = key(vert(j)); j += 1 }
     index.written.set(v, round)
-    key
   }
 
   /** Rewrites ``v``'s stored keys from the values ``hval`` in ``round``. */
   def storeKeys(v: Int, index: BallIndex, hval: Array[Int], round: Int): Unit = {
-    buildKeys(v, index, hval, round, keyV1, keyV2)
-    resetKeys(index.ballVert, index.start(v), index.end(v), keyV1, keyV2)
+    buildKeys(v, index, hval, round, keyV)
+    resetKeys(index.ballVert, index.start(v), index.end(v), keyV)
   }
 
   /** Edge phase of round ``round`` over the edges ``from until until`` that
@@ -291,7 +271,8 @@ final class HopScratch(g: LocalGraph) {
     * endpoints; sets ``out(e)`` to the value where it is below the cap.
     * Edges are sorted by source, so ``u``'s keys are put in a dense buffer
     * once per run of its edges; each edge then scans ``v``'s stored keys,
-    * rewritten first from ``hval`` if they are [[BallIndex.stale]].
+    * rewritten first from ``hval`` if they are [[BallIndex.stale]], and
+    * stops once the count reaches its bound.
     *
     * A synchronous round reads the round-start copy of the values and
     * writes ``out``, a different array; an asynchronous round (``live =
@@ -306,68 +287,77 @@ final class HopScratch(g: LocalGraph) {
                     out: Array[Int], round: Int, live: Boolean): Unit = {
     val vert = index.ballVert
     val keys = index.keys
-    var keyU   = keyU1
     var loaded = -1
     var e = from
     while (e < until) {
       if (active.get(e)) {
         val u = g.edgeSrc(e)
         if (u != loaded) {
-          if (loaded >= 0) resetKeys(vert, index.start(loaded), index.end(loaded), keyU1, keyU2)
-          if (live || index.stale(u)) keyU = buildKeys(u, index, hval, round, keyU1, keyU2)
+          if (loaded >= 0) resetKeys(vert, index.start(loaded), index.end(loaded), keyU)
+          if (live || index.stale(u)) buildKeys(u, index, hval, round, keyU)
           else {
             var j = index.start(u)
             val end = index.end(u)
-            while (j < end) { keyU1(vert(j)) = keys(j); j += 1 }
-            keyU = keyU1
+            while (j < end) { keyU(vert(j)) = keys(j); j += 1 }
           }
           loaded = u
         }
         val v = g.edgeDst(e)
         if (index.stale(v)) storeKeys(v, index, hval, round)
-        var n = 0
-        var j = index.start(v) + 1
-        val end = index.end(v)
-        while (j < end) {
+        val cap   = hval(e)
+        val end   = index.end(v)
+        var j     = index.start(v) + 1
+        // Contributions come from ball(v) without v and u.
+        val bound = math.min(cap, end - j - 1)
+        clearCounts(bound)
+        var top = 0
+        while (j < end && top < bound) {
           val w  = vert(j)
           val ku = keyU(w)
           if (ku >= 0 && w != u) {
             val kv = keys(j)
-            addContrib(n, if (ku < kv) ku else kv)
-            n += 1
+            val c  = if (ku < kv) ku else kv
+            if (c >= bound) top += 1 else counts(c) += 1
           }
           j += 1
         }
-        val nh = hIndexOfContribs(n, hval(e))
-        if (nh < hval(e)) out(e) = nh
+        val nh = countedHIndex(bound, top)
+        if (nh < cap) out(e) = nh
       }
       e += 1
     }
-    if (loaded >= 0) resetKeys(vert, index.start(loaded), index.end(loaded), keyU1, keyU2)
+    if (loaded >= 0) resetKeys(vert, index.start(loaded), index.end(loaded), keyU)
   }
 
   /** End-of-round walk from ``root``, an endpoint of edges changed in
     * ``round`` from at most ``old`` to at least ``nw``, over the vertices
-    * ``z`` within ``h - 1`` hops of it, read from ``index``: marks them
-    * ``index.touched(z) = round``. When ``next`` is given, it also receives
-    * each edge ``f`` at such a ``z`` with ``nw < hval(f) <= old`` (Lemma-4
-    * activation).
+    * ``z`` within ``h - 1`` hops of it, read from ``index``: marks
+    * ``index.touched(z) = round`` and, when ``next`` is given, sets in it
+    * each edge ``f`` at ``z`` with ``nw < hval(f) <= old`` (Lemma-4
+    * activation). A keyed index limits both to the ``z`` whose stored key
+    * from ``root`` exceeds ``nw``: stored keys only overestimate, and a
+    * change at ``root`` lowers a key or value at ``z`` only through a best
+    * path from ``z`` to ``root`` that keeps a key above ``nw`` (DESIGN.md,
+    * "Local engine design").
     */
   def walk(root: Int, index: BallIndex, round: Int, hval: Array[Int], old: Int, nw: Int,
            next: java.util.BitSet): Unit = {
     val ball  = index.ballVert
+    val keys  = index.keys
     val until = index.nearEnd(root)
     var j = index.start(root)
     while (j < until) {
-      val z = ball(j)
-      index.touched(z) = round
-      if (next != null) {
-        var i = g.offsets(z)
-        val end = g.offsets(z + 1)
-        while (i < end) {
-          val f = g.adjEdge(i)
-          if (nw < hval(f) && hval(f) <= old) next.set(f)
-          i += 1
+      if (keys == null || keys(j) > nw) {
+        val z = ball(j)
+        index.touched(z) = round
+        if (next != null) {
+          var i = g.offsets(z)
+          val end = g.offsets(z + 1)
+          while (i < end) {
+            val f = g.adjEdge(i)
+            if (nw < hval(f) && hval(f) <= old) next.set(f)
+            i += 1
+          }
         }
       }
       j += 1

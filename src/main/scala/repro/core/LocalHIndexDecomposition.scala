@@ -12,8 +12,9 @@ import repro.graph.LocalGraph
   * which stores each vertex's maximin keys. A round is one parallel edge
   * phase ([[HopScratch.storeHIndices]]), which rewrites only the keys it
   * needs that are stale, followed by a walk from the endpoints of the
-  * changed edges that marks stale the keys those changes enter (the
-  * vertices within h-1 hops of them). A graph whose index would take more
+  * changed edges that marks stale the keys those changes can lower: those
+  * of the vertices within h-1 hops whose stored key from the endpoint
+  * exceeds the new value. A graph whose index would take more
   * than a quarter of the maximum heap is rejected before the index is
   * allocated.
   *
@@ -40,13 +41,15 @@ import repro.graph.LocalGraph
   *  - '''Paral+''': ``async = true, pruning = true`` — additionally skips
   *    edges none of whose dependencies changed in a way that can lower their
   *    value (Lemma 4: a drop of e' from old to new affects H(e) only when
-  *    ``new < H(e) <= old``). The end-of-round walk activates those edges.
+  *    ``new < H(e) <= old``). The end-of-round walk activates those edges
+  *    at the vertices it marks.
   *    With ``async = false`` the pruned rounds are synchronous.
   *
   * Every parallel loop, the walk included, hands out fixed-size slices of
   * edges, vertices or walk roots from a shared cursor. The maximin DPs
-  * sweep only the BFS-order prefix that can hold a key yet, and stop at the
-  * first sweep that changes no key (see [[HopScratch]]).
+  * push only from the frontier of keys raised in the last sweep and stop
+  * when it is empty, and each H-index count stops at its cap (see
+  * [[HopScratch]]).
   *
   * Determinism: the final trussness vector is the unique fixpoint and is
   * identical across variants and thread counts. Synchronous rounds are
@@ -161,11 +164,11 @@ object LocalHIndexDecomposition {
       forAll(g.n)((t, v) => ballSize(v) = scratches(t).ballSize(v, h))
       var entries  = 0L
       for (size <- ballSize) entries += size
-      val shellLen = g.n.toLong * (h + 1) + 1
+      val offLen   = 2L * g.n + 1
       val keyed    = edgePhase.isEmpty && config.maxRounds > 0
-      val bytes    = (if (keyed) 8 else 4) * entries + 4 * shellLen + 8L * g.n
-      require(entries <= MaxArray && shellLen <= MaxArray && bytes <= storeBytes,
-        s"the ball index at h=$h needs $bytes bytes in arrays of up to ${math.max(entries, shellLen)} " +
+      val bytes    = (if (keyed) 8 else 4) * entries + 4 * offLen + 8L * g.n
+      require(entries <= MaxArray && offLen <= MaxArray && bytes <= storeBytes,
+        s"the ball index at h=$h needs $bytes bytes in arrays of up to ${math.max(entries, offLen)} " +
           s"entries; the cap is $storeBytes bytes and $MaxArray entries per array")
       val index = new BallIndex(h, ballSize, keyed)
       forAll(g.n)((t, v) => scratches(t).fillBall(v, index))

@@ -182,6 +182,92 @@ class LocalHIndexSpec extends AnyFunSuite {
     }
   }
 
+  test("stored keys are the exhaustive maximin keys, up to and beyond the diameter") {
+    val rng = new scala.util.Random(15)
+    // A hub with a few rim edges: every leaf is two hops from every other.
+    val hub = TestGraphs.star5 ++ Seq((1, 2), (3, 4)) ++ (6 to 9).map(i => (0, i))
+    val graphs = TestGraphs.randomPool(8, 16, 1510) ++
+      Seq(GraphGen.chungLu(24, 48, 2.3, 1511), GraphGen.chungLu(30, 60, 2.1, 1512), TestGraphs.star5, hub)
+    for ((edges, i) <- graphs.zipWithIndex; h <- 1 to 4) {
+      val g       = LocalGraph.fromEdges(edges)
+      val hval    = Array.fill(g.m)(rng.nextInt(7))
+      val key     = g.edgePairs.zip(hval).toMap
+      val index   = ballIndex(g, h)
+      val scratch = new HopScratch(g)
+      for (v <- 0 until g.n) scratch.storeKeys(v, index, hval, 1)
+      for (v <- 0 until g.n) {
+        assert(index.keys(index.start(v)) == Int.MaxValue, s"graph$i h=$h v=$v (root)")
+        for (j <- index.start(v) + 1 until index.end(v)) {
+          val expect = NaiveReference.maximinKey(g.edgePairs, key, g.label(v), g.label(index.ballVert(j)), h)
+          assert(expect.contains(index.keys(j)), s"graph$i h=$h v=$v w=${index.ballVert(j)}")
+        }
+      }
+    }
+  }
+
+  test("capped counts agree with min(cap, H-index) at cap 0, caps past the ball, and early stops") {
+    val rng = new scala.util.Random(16)
+    var stops = 0
+    for ((edges, i) <- (TestGraphs.randomPool(6, 13, 1610) :+ TestGraphs.fig1Like).zipWithIndex; h <- 1 to 3) {
+      val g    = LocalGraph.fromEdges(edges)
+      val hval = Array.fill(g.m)(rng.nextInt(3) match { case 0 => 0; case 1 => rng.nextInt(4); case _ => g.n + rng.nextInt(3) })
+      val key  = g.edgePairs.zip(hval).toMap
+      def maximin(a: Int, b: Int) = NaiveReference.maximinKey(g.edgePairs, key, g.label(a), g.label(b), h).get
+      val uncapped = Array.tabulate(g.m) { e =>
+        val (u, v) = (g.edgeSrc(e), g.edgeDst(e))
+        HIndex.hIndex(g.commonHNeighbors(u, v, h).toSeq.map(w => math.min(maximin(u, w), maximin(v, w))))
+      }
+      val scratch = new HopScratch(g)
+      // Caps in a shuffled order, so that each count follows one with another bound.
+      val caps = rng.shuffle((0 to g.n + 1).toList :+ Int.MaxValue)
+      for (e <- 0 until g.m; cap <- caps) {
+        assert(scratch.computeHIndex(e, h, hval, cap) == math.min(cap, uncapped(e)), s"graph$i h=$h e=$e cap=$cap")
+        if (cap > 0 && uncapped(e) > cap) stops += 1
+      }
+      // The edge phase caps each edge by its own value: 0, small, or past its ball.
+      val index = ballIndex(g, h)
+      val all   = new java.util.BitSet(g.m); all.set(0, g.m)
+      val out   = hval.clone()
+      scratch.storeHIndices(index, 0, g.m, all, hval, out, 1, live = false)
+      for (e <- 0 until g.m) assert(out(e) == math.min(hval(e), uncapped(e)), s"graph$i h=$h e=$e (edge phase)")
+    }
+    assert(stops > 0)
+  }
+
+  test("after every round, keys that are not stale are the keys of the current values") {
+    for ((edges, i) <- (TestGraphs.randomPool(6, 24, 1710) :+ GraphGen.chungLu(120, 300, 2.3, 77)).zipWithIndex;
+         h <- 1 to 3; async <- Seq(false, true); pruning <- Seq(false, true)) {
+      val g       = LocalGraph.fromEdges(edges)
+      val scratch = new HopScratch(g)
+      val index   = ballIndex(g, h)
+      val fresh   = ballIndex(g, h)
+      val hcur    = new Array[Int](g.m)
+      scratch.storeSupports(index, 0, g.m, hcur)
+      val hprev   = new Array[Int](g.m)
+      val active  = new java.util.BitSet(g.m); active.set(0, g.m)
+      val next    = new java.util.BitSet(g.m)
+      var round   = 0
+      var done    = false
+      // The engine's round loop on one thread, with the changed edges of a
+      // round merged per endpoint before the walk.
+      while (!done) {
+        round += 1
+        System.arraycopy(hcur, 0, hprev, 0, g.m)
+        scratch.storeHIndices(index, 0, g.m, active, if (async) hcur else hprev, hcur, round, async)
+        val drops = active.stream.toArray.toSeq.filter(e => hcur(e) != hprev(e))
+          .flatMap(e => Seq(g.edgeSrc(e), g.edgeDst(e)).map(_ -> e)).groupMap(_._1)(_._2)
+        for ((root, es) <- drops)
+          scratch.walk(root, index, round, hcur, es.map(hprev).max, es.map(hcur).min, if (pruning) next else null)
+        for (v <- 0 until g.n) scratch.storeKeys(v, fresh, hcur, round)
+        for (v <- 0 until g.n if !index.stale(v); j <- index.start(v) until index.end(v))
+          assert(index.keys(j) == fresh.keys(j), s"graph$i h=$h async=$async pruning=$pruning round=$round v=$v")
+        if (pruning) { active.clear(); active.or(next); next.clear(); done = active.isEmpty }
+        else done = drops.isEmpty
+      }
+      assert(hcur.map(_ + 2).toSeq == BaselinePeeling.trussness(g, h).toSeq, s"graph$i h=$h")
+    }
+  }
+
   test("synchronous rounds are deterministic and thread-count independent") {
     // In round 1 every key is stale, so threads race to rewrite the same
     // destinations' keys; a cut run exposes the values of that round.
@@ -231,7 +317,7 @@ class LocalHIndexSpec extends AnyFunSuite {
     val g = LocalGraph.fromEdges(GraphGen.chungLu(120, 300, 2.3, 77))
     val h = 2
     val index  = ballIndex(g, h)
-    val needed = 8L * index.ballVert.length + 4L * index.shellOff.length + 8L * g.n
+    val needed = 8L * index.ballVert.length + 4L * index.ballOff.length + 8L * g.n
     for (cfg <- Seq(LocalHIndexConfig(threads = 4), LocalHIndexConfig(threads = 4, async = true),
                     LocalHIndexConfig(threads = 4, async = true, pruning = true))) {
       for (cap <- Seq(0L, needed - 1)) {
@@ -247,7 +333,7 @@ class LocalHIndexSpec extends AnyFunSuite {
     val g       = LocalGraph.fromEdges(GraphGen.chungLu(120, 300, 2.3, 77))
     val h       = 2
     val index   = ballIndex(g, h)
-    val keyless = 4L * index.ballVert.length + 4L * index.shellOff.length + 8L * g.n
+    val keyless = 4L * index.ballVert.length + 4L * index.ballOff.length + 8L * g.n
     val noOp: LocalHIndexDecomposition.EdgePhase = (_, _, _, _, _) => ()
     val cfg     = LocalHIndexConfig(threads = 4)
     val err = intercept[IllegalArgumentException](
@@ -255,12 +341,13 @@ class LocalHIndexSpec extends AnyFunSuite {
     assert(err.getMessage.contains(s"needs $keyless bytes"), err.getMessage)
     val res = LocalHIndexDecomposition.run(g, h, cfg, storeBytes = keyless, edgePhase = Some(noOp))
     assert(res.converged && res.rounds == 1)
-    assert(res.trussness.toSeq == HSupport.local(g, h).map(_ + 2).toSeq)
+    val supports = (0 until g.m).map(e => g.commonHNeighbors(g.edgeSrc(e), g.edgeDst(e), h).size + 2)
+    assert(res.trussness.toSeq == supports)
     // The default edge phase reads the keys, so the same cap is too small for
     // it, but not for a run of no rounds.
     intercept[IllegalArgumentException](LocalHIndexDecomposition.run(g, h, cfg, storeBytes = keyless))
-    val supports = LocalHIndexDecomposition.run(g, h, cfg.copy(maxRounds = 0), storeBytes = keyless)
-    assert(supports.trussness.toSeq == res.trussness.toSeq)
+    val noRounds = LocalHIndexDecomposition.run(g, h, cfg.copy(maxRounds = 0), storeBytes = keyless)
+    assert(noRounds.trussness.toSeq == supports)
   }
 
   test("h beyond n - 1 hops gives the baseline's trussness") {
