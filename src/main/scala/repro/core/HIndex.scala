@@ -6,15 +6,8 @@ package repro.core
   */
 object HIndex {
 
-  /** H-index of a multiset of non-negative values. 𝓗(∅) = 0. */
-  def hIndex(values: Seq[Int]): Int = {
-    values.foreach(v => require(v >= 0, s"h-index input must be non-negative, got $v"))
-    val arr = values.toArray
-    boundedHIndex(arr, arr.length, Int.MaxValue)
-  }
-
-  /** H-index of the first ``len`` slots of ``values`` with an upper bound
-    * ``cap``: equivalent to ``min(cap, hIndex(values.take(len)))`` but
+  /** H-index of the first ``len`` slots of ``values``, all non-negative,
+    * with an upper bound ``cap``: ``min(cap, 𝓗(values.take(len)))``, but
     * using a counting array of size ``bound + 1``, ``bound = min(cap,
     * len)`` — O(len) time, no sort. The engines count contributions the
     * same way in their scratch ([[HopScratch]]), with the previous-round

@@ -18,11 +18,11 @@ import repro.graph.LocalGraph
   * without keys.
   *
   * Freshness: ``v``'s keys depend only on the values of edges with an
-  * endpoint within ``h - 1`` hops of ``v``. ``touched(v)`` is the last round
-  * at whose end such an edge was found changed in a way that can lower one
-  * of ``v``'s keys (0 = none; see [[HopScratch.walk]]) and ``written(v)`` the
-  * last round in which ``v``'s keys were written (0 = never), so the keys
-  * may be stale exactly when [[stale]] holds. Rounds count from 1.
+  * endpoint within ``h - 1`` hops of ``v``. A private flag per vertex says
+  * whether such an edge has changed, in a way that can lower one of them,
+  * since they were written: every vertex starts [[stale]], [[store]] makes
+  * it fresh and [[markStale]] ([[HopScratch.walk]]) stale again. The walk
+  * and the edge phase never overlap, so no mark races a write.
   */
 final class BallIndex(val h: Int, ballSize: Array[Int], keyed: Boolean) {
   private val n = ballSize.length
@@ -31,8 +31,8 @@ final class BallIndex(val h: Int, ballSize: Array[Int], keyed: Boolean) {
   val ballVert = new Array[Int](ballOff(2 * n))
   val keys     = if (keyed) new Array[Int](ballVert.length) else null
 
-  val touched = new Array[Int](n)
-  val written = new java.util.concurrent.atomic.AtomicIntegerArray(n)
+  // 1 = fresh; 0, the initial value, = stale.
+  private val fresh = new java.util.concurrent.atomic.AtomicIntegerArray(n)
 
   def start(v: Int): Int   = ballOff(2 * v)
   def nearEnd(v: Int): Int = ballOff(2 * v + 1)
@@ -41,7 +41,20 @@ final class BallIndex(val h: Int, ballSize: Array[Int], keyed: Boolean) {
   /** Whether ``v``'s stored keys may differ from keys built from the
     * current values.
     */
-  def stale(v: Int): Boolean = touched(v) >= written.get(v)
+  def stale(v: Int): Boolean = fresh.get(v) == 0
+
+  /** Marks ``v``'s stored keys stale. */
+  def markStale(v: Int): Unit = fresh.lazySet(v, 0)
+
+  /** Stores ``v``'s keys from the dense buffer ``key``, then marks them
+    * fresh by a release store, which publishes them to readers of the flag.
+    */
+  def store(v: Int, key: Array[Int]): Unit = {
+    var j = start(v)
+    val e = end(v)
+    while (j < e) { keys(j) = key(ballVert(j)); j += 1 }
+    fresh.lazySet(v, 1)
+  }
 }
 
 /** Per-thread scratch workspace for h-hop computations on a [[LocalGraph]].
@@ -246,33 +259,21 @@ final class HopScratch(g: LocalGraph) {
     index.ballOff(2 * v + 1) = start + j
   }
 
-  /** Maximin keys of ``v`` over ``hval``, built in ``key`` (which the
-    * caller resets) and written into ``index.keys``; records ``v`` as
-    * written in ``round``.
-    */
-  private def buildKeys(v: Int, index: BallIndex, hval: Array[Int], round: Int, key: Array[Int]): Unit = {
-    val vert = index.ballVert
-    val end  = index.end(v)
-    maximinKeys(v, index.h, hval, key)
-    var j = index.start(v)
-    while (j < end) { index.keys(j) = key(vert(j)); j += 1 }
-    index.written.set(v, round)
-  }
-
-  /** Rewrites ``v``'s stored keys from the values ``hval`` in ``round``. */
-  def storeKeys(v: Int, index: BallIndex, hval: Array[Int], round: Int): Unit = {
-    buildKeys(v, index, hval, round, keyV)
+  /** Rewrites ``v``'s stored keys from the values ``hval``. */
+  def storeKeys(v: Int, index: BallIndex, hval: Array[Int]): Unit = {
+    maximinKeys(v, index.h, hval, keyV)
+    index.store(v, keyV)
     resetKeys(index.ballVert, index.start(v), index.end(v), keyV)
   }
 
-  /** Edge phase of round ``round`` over the edges ``from until until`` that
+  /** A round's edge phase over the edges ``from until until`` that
     * ``active`` holds: [[computeHIndex]] of each edge ``e = (u, v)`` over
     * the values ``hval`` with cap ``hval(e)``, from the keys of its
     * endpoints; sets ``out(e)`` to the value where it is below the cap.
     * Edges are sorted by source, so ``u``'s keys are put in a dense buffer
     * once per run of its edges; each edge then scans ``v``'s stored keys,
-    * rewritten first from ``hval`` if they are [[BallIndex.stale]], and
-    * stops once the count reaches its bound.
+    * rewritten first from ``hval``, which leaves them fresh, if they are
+    * [[BallIndex.stale]], and stops once the count reaches its bound.
     *
     * A synchronous round reads the round-start copy of the values and
     * writes ``out``, a different array; an asynchronous round (``live =
@@ -284,7 +285,7 @@ final class HopScratch(g: LocalGraph) {
     * is at least the key of the current values.
     */
   def storeHIndices(index: BallIndex, from: Int, until: Int, active: java.util.BitSet, hval: Array[Int],
-                    out: Array[Int], round: Int, live: Boolean): Unit = {
+                    out: Array[Int], live: Boolean): Unit = {
     val vert = index.ballVert
     val keys = index.keys
     var loaded = -1
@@ -294,7 +295,7 @@ final class HopScratch(g: LocalGraph) {
         val u = g.edgeSrc(e)
         if (u != loaded) {
           if (loaded >= 0) resetKeys(vert, index.start(loaded), index.end(loaded), keyU)
-          if (live || index.stale(u)) buildKeys(u, index, hval, round, keyU)
+          if (live || index.stale(u)) { maximinKeys(u, index.h, hval, keyU); index.store(u, keyU) }
           else {
             var j = index.start(u)
             val end = index.end(u)
@@ -303,7 +304,7 @@ final class HopScratch(g: LocalGraph) {
           loaded = u
         }
         val v = g.edgeDst(e)
-        if (index.stale(v)) storeKeys(v, index, hval, round)
+        if (index.stale(v)) storeKeys(v, index, hval)
         val cap   = hval(e)
         val end   = index.end(v)
         var j     = index.start(v) + 1
@@ -329,10 +330,10 @@ final class HopScratch(g: LocalGraph) {
     if (loaded >= 0) resetKeys(vert, index.start(loaded), index.end(loaded), keyU)
   }
 
-  /** End-of-round walk from ``root``, an endpoint of edges changed in
-    * ``round`` from at most ``old`` to at least ``nw``, over the vertices
-    * ``z`` within ``h - 1`` hops of it, read from ``index``: marks
-    * ``index.touched(z) = round`` and, when ``next`` is given, sets in it
+  /** End-of-round walk from ``root``, an endpoint of edges changed in the
+    * round from at most ``old`` to at least ``nw``, over the vertices ``z``
+    * within ``h - 1`` hops of it, read from ``index``: marks ``z``'s keys
+    * stale ([[BallIndex.markStale]]) and, when ``next`` is given, sets in it
     * each edge ``f`` at ``z`` with ``nw < hval(f) <= old`` (Lemma-4
     * activation). A keyed index limits both to the ``z`` whose stored key
     * from ``root`` exceeds ``nw``: stored keys only overestimate, and a
@@ -340,8 +341,7 @@ final class HopScratch(g: LocalGraph) {
     * path from ``z`` to ``root`` that keeps a key above ``nw`` (DESIGN.md,
     * "Local engine design").
     */
-  def walk(root: Int, index: BallIndex, round: Int, hval: Array[Int], old: Int, nw: Int,
-           next: java.util.BitSet): Unit = {
+  def walk(root: Int, index: BallIndex, hval: Array[Int], old: Int, nw: Int, next: java.util.BitSet): Unit = {
     val ball  = index.ballVert
     val keys  = index.keys
     val until = index.nearEnd(root)
@@ -349,7 +349,7 @@ final class HopScratch(g: LocalGraph) {
     while (j < until) {
       if (keys == null || keys(j) > nw) {
         val z = ball(j)
-        index.touched(z) = round
+        index.markStale(z)
         if (next != null) {
           var i = g.offsets(z)
           val end = g.offsets(z + 1)

@@ -86,14 +86,14 @@ object LocalHIndexDecomposition {
   /** Longest array the JVM allocates. */
   private val MaxArray = Int.MaxValue - 8
 
-  /** A round's edge phase, ``apply(h, round, active, read, out)``: sets
+  /** A round's edge phase, ``apply(h, active, read, out)``: sets
     * ``out(e)`` to the next-order value of each edge ``e`` that ``active``
     * holds, computed at hop threshold ``h`` from the values ``read``, where
     * it is below ``read(e)``. [[run]] passes the clamped ``h`` and, for a
     * synchronous round, the round-start copy as ``read``.
     */
   private[core] trait EdgePhase {
-    def apply(h: Int, round: Int, active: java.util.BitSet, read: Array[Int], out: Array[Int]): Unit
+    def apply(h: Int, active: java.util.BitSet, read: Array[Int], out: Array[Int]): Unit
   }
 
   /** Run the decomposition of graph ``g`` at hop threshold ``h``. The
@@ -114,6 +114,7 @@ object LocalHIndexDecomposition {
                         edgePhase: Option[EdgePhase] = None): LocalHIndexResult = {
     require(hop >= 1, s"need h >= 1, got $hop")
     require(config.threads >= 1, s"need threads >= 1, got ${config.threads}")
+    require(config.maxRounds >= 0, s"need maxRounds >= 0, got ${config.maxRounds}")
     val m = g.m
     if (m == 0) return LocalHIndexResult(new Array[Int](0), 0, converged = true)
     // No shortest path, and no maximin key's best path, has more than n - 1
@@ -166,7 +167,7 @@ object LocalHIndexDecomposition {
       for (size <- ballSize) entries += size
       val offLen   = 2L * g.n + 1
       val keyed    = edgePhase.isEmpty && config.maxRounds > 0
-      val bytes    = (if (keyed) 8 else 4) * entries + 4 * offLen + 8L * g.n
+      val bytes    = (if (keyed) 8 else 4) * entries + 4 * offLen + 4L * g.n
       require(entries <= MaxArray && offLen <= MaxArray && bytes <= storeBytes,
         s"the ball index at h=$h needs $bytes bytes in arrays of up to ${math.max(entries, offLen)} " +
           s"entries; the cap is $storeBytes bytes and $MaxArray entries per array")
@@ -181,9 +182,9 @@ object LocalHIndexDecomposition {
       val hprev = new Array[Int](m)
       forSlices(m)((t, from, until) => scratches(t).storeSupports(index, from, until, hcur))
       val read = if (config.async) hcur else hprev
-      val phase = edgePhase.getOrElse[EdgePhase] { (_, round, active, hval, out) =>
+      val phase = edgePhase.getOrElse[EdgePhase] { (_, active, hval, out) =>
         forSlices(m) { (t, from, until) =>
-          scratches(t).storeHIndices(index, from, until, active, hval, out, round, config.async)
+          scratches(t).storeHIndices(index, from, until, active, hval, out, config.async)
         }
       }
 
@@ -200,9 +201,8 @@ object LocalHIndexDecomposition {
       var done   = false
       while (!done && rounds < config.maxRounds) {
         rounds += 1
-        val round = rounds
         System.arraycopy(hcur, 0, hprev, 0, m)
-        phase(h, round, active, read, hcur)
+        phase(h, active, read, hcur)
         // The changed edges e' are the active edges whose value fell from
         // old = hprev(e') to new = hcur(e'). The end-of-round walk runs
         // from both endpoints of each over the vertices within h-1 hops,
@@ -243,7 +243,7 @@ object LocalHIndexDecomposition {
             var i = from
             while (i < until) {
               val r = roots(i)
-              scratches(t).walk(r, index, round, hcur, oldMax(r), newMin(r), next)
+              scratches(t).walk(r, index, hcur, oldMax(r), newMin(r), next)
               i += 1
             }
           }

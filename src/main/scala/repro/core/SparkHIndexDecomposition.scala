@@ -60,17 +60,20 @@ object SparkHIndexDecomposition {
   final case class Result(trussness: DataFrame, rounds: Int, converged: Boolean)
 
   /** Run the decomposition over a canonical edge DataFrame
-    * (``src, dst, eid`` — see [[repro.graph.EdgeList]]).
+    * (``src, dst, eid`` — see [[repro.graph.EdgeList]]); bad arguments
+    * fail before any job runs.
     */
   def decompose(edges: DataFrame, h: Int, mode: Mode = Sync, maxRounds: Int = LocalHIndexConfig().maxRounds,
                 deadlineNanos: Long = Long.MaxValue): Result = {
+    require(h >= 1, s"need h >= 1, got $h")
+    require(maxRounds >= 0, s"need maxRounds >= 0, got $maxRounds")
     val spark  = edges.sparkSession
     val sc     = spark.sparkContext
     val g      = LocalGraph.fromDataFrame(edges)
     val config = LocalHIndexConfig(threads = Runtime.getRuntime.availableProcessors, pruning = mode == Pruned,
                                    maxRounds = maxRounds, deadlineNanos = deadlineNanos)
     val graph  = sc.broadcast(g)
-    val phase: LocalHIndexDecomposition.EdgePhase = (hop, _, active, hval, out) => {
+    val phase: LocalHIndexDecomposition.EdgePhase = (hop, active, hval, out) => {
       Budget.check(deadlineNanos)
       val values = sc.broadcast(hval)
       try {

@@ -166,14 +166,14 @@ class LocalHIndexSpec extends AnyFunSuite {
       for (e <- 0 until g.m) assert(fresh(e) >= tau(e) - 2, s"graph$i h=$h e=$e")
       val all = new java.util.BitSet(g.m); all.set(0, g.m)
       for (stale <- Seq(false, true); live <- Seq(false, true)) {
-        // Keys stored from hvalOld in round 1; round 2 reads hvalNew, live
+        // Keys stored from hvalOld; the next round reads hvalNew, live
         // (asynchronous) or as a synchronous round's copy. Marking every
-        // vertex touched in round 1 makes every key stale.
+        // vertex stale after the store makes every key stale.
         val index = ballIndex(g, h)
-        for (v <- 0 until g.n) scratch.storeKeys(v, index, hvalOld, 1)
-        if (stale) java.util.Arrays.fill(index.touched, 1)
+        for (v <- 0 until g.n) scratch.storeKeys(v, index, hvalOld)
+        if (stale) for (v <- 0 until g.n) index.markStale(v)
         val got = hvalNew.clone()
-        scratch.storeHIndices(index, 0, g.m, all, hvalNew, got, 2, live)
+        scratch.storeHIndices(index, 0, g.m, all, hvalNew, got, live)
         for (e <- 0 until g.m) {
           if (stale) assert(got(e) == fresh(e), s"graph$i h=$h live=$live e=$e (refreshed keys)")
           else assert(got(e) >= fresh(e), s"graph$i h=$h live=$live e=$e (stale keys)")
@@ -194,7 +194,7 @@ class LocalHIndexSpec extends AnyFunSuite {
       val key     = g.edgePairs.zip(hval).toMap
       val index   = ballIndex(g, h)
       val scratch = new HopScratch(g)
-      for (v <- 0 until g.n) scratch.storeKeys(v, index, hval, 1)
+      for (v <- 0 until g.n) scratch.storeKeys(v, index, hval)
       for (v <- 0 until g.n) {
         assert(index.keys(index.start(v)) == Int.MaxValue, s"graph$i h=$h v=$v (root)")
         for (j <- index.start(v) + 1 until index.end(v)) {
@@ -215,7 +215,7 @@ class LocalHIndexSpec extends AnyFunSuite {
       def maximin(a: Int, b: Int) = NaiveReference.maximinKey(g.edgePairs, key, g.label(a), g.label(b), h).get
       val uncapped = Array.tabulate(g.m) { e =>
         val (u, v) = (g.edgeSrc(e), g.edgeDst(e))
-        HIndex.hIndex(g.commonHNeighbors(u, v, h).toSeq.map(w => math.min(maximin(u, w), maximin(v, w))))
+        NaiveReference.hIndex(g.commonHNeighbors(u, v, h).toSeq.map(w => math.min(maximin(u, w), maximin(v, w))))
       }
       val scratch = new HopScratch(g)
       // Caps in a shuffled order, so that each count follows one with another bound.
@@ -228,10 +228,40 @@ class LocalHIndexSpec extends AnyFunSuite {
       val index = ballIndex(g, h)
       val all   = new java.util.BitSet(g.m); all.set(0, g.m)
       val out   = hval.clone()
-      scratch.storeHIndices(index, 0, g.m, all, hval, out, 1, live = false)
+      scratch.storeHIndices(index, 0, g.m, all, hval, out, live = false)
       for (e <- 0 until g.m) assert(out(e) == math.min(hval(e), uncapped(e)), s"graph$i h=$h e=$e (edge phase)")
     }
     assert(stops > 0)
+  }
+
+  test("key freshness: stale when new, fresh once stored, stale again when a walk's key filter reaches it") {
+    val rng = new scala.util.Random(18)
+    var marked, kept = 0
+    for ((edges, i) <- TestGraphs.randomPool(6, 20, 1810).zipWithIndex; h <- 1 to 3) {
+      val g       = LocalGraph.fromEdges(edges)
+      val hval    = Array.fill(g.m)(rng.nextInt(6))
+      val scratch = new HopScratch(g)
+      val index   = ballIndex(g, h)
+      for (v <- 0 until g.n) assert(index.stale(v), s"graph$i h=$h v=$v (new index)")
+      for (v <- 0 until g.n) {
+        scratch.storeKeys(v, index, hval)
+        assert(!index.stale(v), s"graph$i h=$h v=$v (stored)")
+        for (w <- v + 1 until g.n) assert(index.stale(w), s"graph$i h=$h v=$v w=$w (not yet stored)")
+      }
+      for (root <- 0 until g.n) {
+        for (v <- 0 until g.n) scratch.storeKeys(v, index, hval)
+        val nw   = rng.nextInt(7)
+        scratch.walk(root, index, hval, Int.MaxValue, nw, null)
+        val near = (index.start(root) until index.nearEnd(root)).map(j => index.ballVert(j) -> index.keys(j)).toMap
+        for (z <- 0 until g.n) {
+          val reached = near.get(z).exists(_ > nw)
+          assert(index.stale(z) == reached, s"graph$i h=$h root=$root nw=$nw z=$z")
+          if (reached && z != root) marked += 1
+          if (near.contains(z) && !reached) kept += 1
+        }
+      }
+    }
+    assert(marked > 0 && kept > 0, s"marked=$marked kept=$kept")
   }
 
   test("after every round, keys that are not stale are the keys of the current values") {
@@ -253,12 +283,12 @@ class LocalHIndexSpec extends AnyFunSuite {
       while (!done) {
         round += 1
         System.arraycopy(hcur, 0, hprev, 0, g.m)
-        scratch.storeHIndices(index, 0, g.m, active, if (async) hcur else hprev, hcur, round, async)
+        scratch.storeHIndices(index, 0, g.m, active, if (async) hcur else hprev, hcur, async)
         val drops = active.stream.toArray.toSeq.filter(e => hcur(e) != hprev(e))
           .flatMap(e => Seq(g.edgeSrc(e), g.edgeDst(e)).map(_ -> e)).groupMap(_._1)(_._2)
         for ((root, es) <- drops)
-          scratch.walk(root, index, round, hcur, es.map(hprev).max, es.map(hcur).min, if (pruning) next else null)
-        for (v <- 0 until g.n) scratch.storeKeys(v, fresh, hcur, round)
+          scratch.walk(root, index, hcur, es.map(hprev).max, es.map(hcur).min, if (pruning) next else null)
+        for (v <- 0 until g.n) scratch.storeKeys(v, fresh, hcur)
         for (v <- 0 until g.n if !index.stale(v); j <- index.start(v) until index.end(v))
           assert(index.keys(j) == fresh.keys(j), s"graph$i h=$h async=$async pruning=$pruning round=$round v=$v")
         if (pruning) { active.clear(); active.or(next); next.clear(); done = active.isEmpty }
@@ -317,7 +347,7 @@ class LocalHIndexSpec extends AnyFunSuite {
     val g = LocalGraph.fromEdges(GraphGen.chungLu(120, 300, 2.3, 77))
     val h = 2
     val index  = ballIndex(g, h)
-    val needed = 8L * index.ballVert.length + 4L * index.ballOff.length + 8L * g.n
+    val needed = 8L * index.ballVert.length + 4L * index.ballOff.length + 4L * g.n
     for (cfg <- Seq(LocalHIndexConfig(threads = 4), LocalHIndexConfig(threads = 4, async = true),
                     LocalHIndexConfig(threads = 4, async = true, pruning = true))) {
       for (cap <- Seq(0L, needed - 1)) {
@@ -333,8 +363,8 @@ class LocalHIndexSpec extends AnyFunSuite {
     val g       = LocalGraph.fromEdges(GraphGen.chungLu(120, 300, 2.3, 77))
     val h       = 2
     val index   = ballIndex(g, h)
-    val keyless = 4L * index.ballVert.length + 4L * index.ballOff.length + 8L * g.n
-    val noOp: LocalHIndexDecomposition.EdgePhase = (_, _, _, _, _) => ()
+    val keyless = 4L * index.ballVert.length + 4L * index.ballOff.length + 4L * g.n
+    val noOp: LocalHIndexDecomposition.EdgePhase = (_, _, _, _) => ()
     val cfg     = LocalHIndexConfig(threads = 4)
     val err = intercept[IllegalArgumentException](
       LocalHIndexDecomposition.run(g, h, cfg, storeBytes = keyless - 1, edgePhase = Some(noOp)))
@@ -374,6 +404,14 @@ class LocalHIndexSpec extends AnyFunSuite {
     val r = LocalHIndexDecomposition.decompose(g, 2, LocalHIndexConfig(threads = 2))
     val sup = HSupport.local(g, 2)
     for (e <- 0 until g.m) assert(r.trussness(e) - 2 <= sup(e))
+  }
+
+  test("h < 1 and a negative maxRounds are rejected") {
+    val g = LocalGraph.fromEdges(TestGraphs.fig1Like)
+    for ((name, cfg) <- variants) {
+      intercept[IllegalArgumentException](LocalHIndexDecomposition.decompose(g, 0, cfg))
+      intercept[IllegalArgumentException](LocalHIndexDecomposition.decompose(g, 2, cfg.copy(maxRounds = -1)))
+    }
   }
 
   test("budget exceeded raises Budget.Exceeded") {

@@ -124,6 +124,33 @@ class SparkHIndexSpec extends SparkSpec {
       intercept[Budget.Exceeded](S.decompose(df, 2, mode, deadlineNanos = System.nanoTime() - 1))
   }
 
+  test("h < 1 and a negative maxRounds are rejected before any job runs") {
+    val sc = spark.sparkContext
+    val df = EdgeList.fromPairs(spark, TestGraphs.fig1Like)
+    // Job ids are handed out in submission order: a marker job right after
+    // the rejection has the id after the previous marker's only if no job
+    // ran between them.
+    def markerJob(): Int = {
+      val group = s"marker-${System.nanoTime()}"
+      sc.setJobGroup(group, "marker")
+      try sc.parallelize(Seq(1), 1).count() finally sc.clearJobGroup()
+      val deadline = System.nanoTime() + 30L * 1000 * 1000 * 1000
+      // The status tracker learns of a job through the listener bus.
+      var ids = sc.statusTracker.getJobIdsForGroup(group)
+      while (ids.isEmpty && System.nanoTime() < deadline) {
+        Thread.sleep(10)
+        ids = sc.statusTracker.getJobIdsForGroup(group)
+      }
+      assert(ids.length == 1, group)
+      ids.head
+    }
+    for (mode <- Seq[S.Mode](S.Sync, S.Pruned); (h, maxRounds) <- Seq((0, 10), (2, -1))) {
+      val before = markerJob()
+      intercept[IllegalArgumentException](S.decompose(df, h, mode, maxRounds))
+      assert(markerJob() == before + 1, s"$mode h=$h maxRounds=$maxRounds")
+    }
+  }
+
   test("h = Int.MaxValue gives the baseline's trussness") {
     val edges = GraphGen.smallWorld(40, 4, 0.1, 5)
     val exp   = expected(edges, Int.MaxValue)
